@@ -1,5 +1,6 @@
 #include "core/action.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace deproto::core {
@@ -44,6 +45,41 @@ std::size_t messages_per_period(const Action& action) {
         } else if constexpr (std::is_same_v<T, PushAction> ||
                              std::is_same_v<T, AnyOfSamplingAction>) {
           return a.fanout;
+        }
+      },
+      action);
+}
+
+ProbeRule probe_rule(const Action& action, std::optional<std::size_t> executor,
+                     std::span<const std::optional<std::size_t>> replies) {
+  // Replies [0, same) must be in `same_state`, then one per target state.
+  const auto pattern_holds = [&](std::size_t same, std::size_t same_state,
+                                 const std::vector<std::size_t>& targets) {
+    if (replies.size() != same + targets.size()) return false;
+    for (std::size_t at = 0; at < same; ++at) {
+      if (replies[at] != same_state) return false;
+    }
+    return std::equal(targets.begin(), targets.end(), replies.begin() + same);
+  };
+  return std::visit(
+      [&](const auto& a) -> ProbeRule {
+        using T = std::decay_t<decltype(a)>;
+        if constexpr (std::is_same_v<T, SamplingAction>) {
+          const std::size_t same = a.same_state_samples;
+          return {same + a.target_states.size(),
+                  executor == a.from_state &&
+                      pattern_holds(same, a.from_state, a.target_states)};
+        } else if constexpr (std::is_same_v<T, TokenizingAction>) {
+          const std::size_t same = a.same_state_samples;
+          return {same + a.target_states.size(),
+                  pattern_holds(same, a.executor_state, a.target_states)};
+        } else if constexpr (std::is_same_v<T, AnyOfSamplingAction>) {
+          const bool any = std::find(replies.begin(), replies.end(),
+                                     a.match_state) != replies.end();
+          return {a.fanout, replies.size() == a.fanout &&
+                                executor == a.from_state && any};
+        } else {
+          return {};
         }
       },
       action);

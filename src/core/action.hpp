@@ -7,6 +7,7 @@
 // produced it.
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <variant>
@@ -97,6 +98,31 @@ using Action = std::variant<FlippingAction, SamplingAction, TokenizingAction,
 /// Number of sampling messages this action sends per period per executor
 /// (Section 3's message-complexity accounting; Flipping sends none).
 [[nodiscard]] std::size_t messages_per_period(const Action& action);
+
+/// Replies to one execution's probes, in arrival order: the state each
+/// probed process reported, or nullopt for a probe that was lost, went
+/// unanswered, or reached a crashed process.
+using ProbeReplies = std::vector<std::optional<std::size_t>>;
+
+/// The probe rule of the asynchronous backends, where a probing action
+/// (Sampling, Tokenizing, AnyOfSampling) asks its targets by message and
+/// decides once the last reply is in.
+struct ProbeRule {
+  std::size_t probes = 0;  // probes one execution sends; 0 for Flip, Push
+  bool fires = false;      // all replies in and matching; coin still to toss
+};
+
+/// Sampling needs reply k to be in the k-th state of its pattern (i_x - 1
+/// copies of from_state, then target_states) and its executor still in
+/// from_state, since the move is its own. Tokenizing needs the same
+/// pattern over executor_state but not the executor, whose token makes the
+/// move. AnyOfSampling needs one reply in match_state and its executor
+/// still in from_state. `executor` is the executor's state when the last
+/// reply arrives, nullopt if it crashed meanwhile. With no replies the
+/// call just reports `probes`.
+[[nodiscard]] ProbeRule probe_rule(
+    const Action& action, std::optional<std::size_t> executor = std::nullopt,
+    std::span<const std::optional<std::size_t>> replies = {});
 
 /// |T|: total variable occurrences of the source term (failure factor input).
 [[nodiscard]] unsigned term_occurrences(const Action& action);

@@ -50,7 +50,6 @@
 #include "sim/metrics.hpp"
 #include "sim/churn.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/swim.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync_sim.hpp"

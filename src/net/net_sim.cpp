@@ -31,7 +31,11 @@ NetSimulator::NetSimulator(std::size_t n,
       options_(options),
       rng_(seed),
       group_(n, machine_.num_states()),
-      metrics_(machine_.num_states()) {
+      metrics_(machine_.num_states()),
+      faults_(queue_, rng_, group_,
+              {.crashed = [this](sim::ProcessId pid) { on_crashed(pid); },
+               .recovered = [this](sim::ProcessId pid) { on_recovered(pid); },
+               .departing = [this](sim::ProcessId pid) { send_leaves(pid); }}) {
   if (n < 2 || n > kMaxNodes) {
     throw std::invalid_argument(
         "NetSimulator: n must lie in [2, " + std::to_string(kMaxNodes) +
@@ -62,24 +66,8 @@ NetSimulator::NetSimulator(std::size_t n,
     node.period =
         rng_.uniform(1.0 - options_.clock_drift, 1.0 + options_.clock_drift);
     // Arbitrary phase: the first tick falls anywhere in the first period.
-    const std::uint64_t epoch = node.timer_epoch;
-    const sim::ProcessId copy = pid;
     queue_.schedule(rng_.uniform01() * node.period,
-                    [this, copy, epoch] { on_tick(copy, epoch); });
-  }
-}
-
-void NetSimulator::seed_states(const std::vector<std::size_t>& counts) {
-  std::size_t total = 0;
-  for (std::size_t c : counts) total += c;
-  if (counts.size() > group_.num_states() || total > group_.size()) {
-    throw std::invalid_argument("seed_states: bad counts");
-  }
-  sim::ProcessId pid = 0;
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    for (std::size_t k = 0; k < counts[s]; ++k, ++pid) {
-      group_.transition(pid, s);
-    }
+                    [this, pid] { on_tick(pid, 0); });
   }
 }
 
@@ -110,7 +98,8 @@ void NetSimulator::run_until(double t_end) {
   anchor_sim_ = queue_.now();
   while (next_sample_ <= t_end) {
     advance_to(next_sample_);
-    sample_metrics();
+    metrics_.begin_period(queue_.now());
+    metrics_.end_period(group_);
     next_sample_ += 1.0;
   }
   advance_to(t_end);
@@ -313,8 +302,8 @@ void NetSimulator::record_rtt(Clock::time_point sent_at) {
 }
 
 // ---------------------------------------------------------------------
-// Protocol execution: one timer per node, the same action semantics as
-// sim/event_sim.cpp, with probes as real request/response datagrams.
+// Protocol execution: one timer per node, the event backend's probe
+// rules, with probes as real request/response datagrams.
 
 void NetSimulator::arm_timer(sim::ProcessId pid) {
   const std::uint64_t epoch = nodes_[pid].timer_epoch;
@@ -324,21 +313,19 @@ void NetSimulator::arm_timer(sim::ProcessId pid) {
 
 void NetSimulator::on_tick(sim::ProcessId pid, std::uint64_t epoch) {
   if (epoch != nodes_[pid].timer_epoch || !group_.alive(pid)) return;
-  const std::size_t state = group_.state_of(pid);
-  for (std::size_t idx : machine_.actions_of(state)) {
-    run_action(pid, idx);
+  for (std::size_t idx : machine_.actions_of(group_.state_of(pid))) {
+    run_action(pid, machine_.actions()[idx]);
   }
   arm_timer(pid);
 }
 
 void NetSimulator::probe_all(
     sim::ProcessId pid, std::size_t count,
-    std::function<void(const std::vector<std::optional<std::size_t>>&)>
-        done) {
+    std::function<void(const core::ProbeReplies&)> done) {
   auto ctx = std::make_shared<ProbeContext>();
   ctx->remaining = count;
   ctx->done = std::move(done);
-  ctx->states.reserve(count);
+  ctx->replies.reserve(count);
   if (count == 0) {
     ctx->done({});
     return;
@@ -371,8 +358,8 @@ void NetSimulator::probe_all(
 
 void NetSimulator::resolve_probe(const std::shared_ptr<ProbeContext>& ctx,
                                  std::optional<std::size_t> state) {
-  ctx->states.push_back(state);
-  if (--ctx->remaining == 0) ctx->done(ctx->states);
+  ctx->replies.push_back(state);
+  if (--ctx->remaining == 0) ctx->done(ctx->replies);
 }
 
 void NetSimulator::route_token(sim::ProcessId pid, std::size_t token_state,
@@ -403,61 +390,12 @@ void NetSimulator::route_token(sim::ProcessId pid, std::size_t token_state,
   if (!send_packet(pid, addr_[target], token)) ++tokens_.dropped;
 }
 
-void NetSimulator::run_action(sim::ProcessId pid, std::size_t action_index) {
-  const core::Action& action = machine_.actions()[action_index];
+void NetSimulator::run_action(sim::ProcessId pid, const core::Action& action) {
   std::visit(
       [&](const auto& a) {
         using T = std::decay_t<decltype(a)>;
         if constexpr (std::is_same_v<T, core::FlippingAction>) {
-          if (rng_.bernoulli(a.coin_bias)) {
-            group_.transition(pid, a.to_state);
-          }
-        } else if constexpr (std::is_same_v<T, core::SamplingAction>) {
-          const std::size_t count =
-              a.same_state_samples + a.target_states.size();
-          auto spec = a;
-          probe_all(pid, count, [this, pid, spec](const auto& states) {
-            if (!group_.alive(pid) ||
-                group_.state_of(pid) != spec.from_state) {
-              return;  // moved on or crashed while waiting
-            }
-            bool match = true;
-            std::size_t at = 0;
-            for (std::size_t k = 0; match && k < spec.same_state_samples;
-                 ++k, ++at) {
-              match = states[at].has_value() &&
-                      *states[at] == spec.from_state;
-            }
-            for (std::size_t t : spec.target_states) {
-              if (!match) break;
-              match = states[at].has_value() && *states[at] == t;
-              ++at;
-            }
-            if (match && rng_.bernoulli(spec.coin_bias)) {
-              group_.transition(pid, spec.to_state);
-            }
-          });
-        } else if constexpr (std::is_same_v<T, core::TokenizingAction>) {
-          const std::size_t count =
-              a.same_state_samples + a.target_states.size();
-          auto spec = a;
-          probe_all(pid, count, [this, pid, spec](const auto& states) {
-            bool match = true;
-            std::size_t at = 0;
-            for (std::size_t k = 0; match && k < spec.same_state_samples;
-                 ++k, ++at) {
-              match = states[at].has_value() &&
-                      *states[at] == spec.executor_state;
-            }
-            for (std::size_t t : spec.target_states) {
-              if (!match) break;
-              match = states[at].has_value() && *states[at] == t;
-              ++at;
-            }
-            if (match && rng_.bernoulli(spec.coin_bias)) {
-              route_token(pid, spec.token_state, spec.to_state);
-            }
-          });
+          if (rng_.bernoulli(a.coin_bias)) group_.transition(pid, a.to_state);
         } else if constexpr (std::is_same_v<T, core::PushAction>) {
           for (unsigned k = 0; k < a.fanout; ++k) {
             const sim::ProcessId target = group_.random_target(pid, rng_);
@@ -469,21 +407,19 @@ void NetSimulator::run_action(sim::ProcessId pid, std::size_t action_index) {
             push.arg2 = coin_to_q32(a.coin_bias);
             send_packet(pid, addr_[target], push);
           }
-        } else if constexpr (std::is_same_v<T, core::AnyOfSamplingAction>) {
-          auto spec = a;
-          probe_all(pid, spec.fanout, [this, pid, spec](const auto& states) {
-            if (!group_.alive(pid) ||
-                group_.state_of(pid) != spec.from_state) {
-              return;
+        } else {
+          // A probing action: ask, then decide once every reply is in.
+          auto decide = [this, pid, &action, &a](const core::ProbeReplies& r) {
+            const std::optional<std::size_t> self = group_.live_state(pid);
+            if (!core::probe_rule(action, self, r).fires) return;
+            if (!rng_.bernoulli(a.coin_bias)) return;
+            if constexpr (std::is_same_v<T, core::TokenizingAction>) {
+              route_token(pid, a.token_state, a.to_state);
+            } else {
+              group_.transition(pid, a.to_state);
             }
-            bool any = false;
-            for (const auto& s : states) {
-              if (s.has_value() && *s == spec.match_state) any = true;
-            }
-            if (any && rng_.bernoulli(spec.coin_bias)) {
-              group_.transition(pid, spec.to_state);
-            }
-          });
+          };
+          probe_all(pid, core::probe_rule(action).probes, std::move(decide));
         }
       },
       action);
@@ -492,24 +428,15 @@ void NetSimulator::run_action(sim::ProcessId pid, std::size_t action_index) {
 // ---------------------------------------------------------------------
 // Fault surface: crashes close sockets, recoveries rebind and handshake.
 
-void NetSimulator::crash_process(sim::ProcessId pid) {
-  if (!group_.alive(pid)) return;
-  group_.crash(pid);
-  note_mass_crashed(pid);
-}
-
-void NetSimulator::note_mass_crashed(sim::ProcessId pid) {
-  // Socket lifecycle for a victim Group::crash_random_alive (or
-  // crash_process) already removed from the population: the port goes
-  // silent mid-flight -- in-flight probes to it will simply time out.
+void NetSimulator::on_crashed(sim::ProcessId pid) {
+  // The port goes silent mid-flight: in-flight probes to it time out.
   Node& node = nodes_[pid];
   ++node.timer_epoch;
   node.active = false;
   node.socket.close();
 }
 
-void NetSimulator::graceful_leave(sim::ProcessId pid) {
-  if (!group_.alive(pid)) return;
+void NetSimulator::send_leaves(sim::ProcessId pid) {
   // Churn departures announce themselves before going dark; the Leave is
   // informational (peers already absorb silent exits via timeouts).
   for (unsigned k = 0; k < kHandshakeFanout; ++k) {
@@ -518,12 +445,9 @@ void NetSimulator::graceful_leave(sim::ProcessId pid) {
     leave.type = PacketType::Leave;
     send_packet(pid, addr_[target], leave);
   }
-  crash_process(pid);
 }
 
-void NetSimulator::recover_process(sim::ProcessId pid) {
-  if (group_.alive(pid)) return;
-  group_.recover(pid, 0);  // machine-mode rejoin state
+void NetSimulator::on_recovered(sim::ProcessId pid) {
   Node& node = nodes_[pid];
   // Rebind the home port if it is still free (peers cache endpoints);
   // otherwise take a fresh ephemeral port and republish the address.
@@ -570,81 +494,6 @@ void NetSimulator::begin_join(sim::ProcessId pid, unsigned tries_left) {
                      });
 }
 
-void NetSimulator::schedule_massive_failure(double time, double fraction) {
-  sim::fault_plan::validate_failure_fraction(fraction);
-  queue_.schedule(std::max(time, queue_.now()), [this, fraction] {
-    const std::size_t victims = sim::fault_plan::failure_victims(
-        fraction, group_.total_alive());
-    for (sim::ProcessId pid : group_.crash_random_alive(victims, rng_)) {
-      note_mass_crashed(pid);
-    }
-  });
-}
-
-void NetSimulator::schedule_crash(sim::ProcessId pid, double time,
-                                  double recover_time) {
-  if (pid >= group_.size()) return;  // ignored, like the other backends
-  queue_.schedule(std::max(time, queue_.now()),
-                  [this, pid] { crash_process(pid); });
-  if (recover_time >= 0.0) {
-    queue_.schedule(std::max(recover_time, queue_.now()),
-                    [this, pid] { recover_process(pid); });
-  }
-}
-
-void NetSimulator::set_crash_recovery(double crash_prob,
-                                      double mean_downtime_periods) {
-  sim::fault_plan::validate_crash_recovery(crash_prob,
-                                           mean_downtime_periods);
-  const std::uint64_t epoch = ++recovery_epoch_;
-  crash_prob_ = crash_prob;
-  mean_downtime_ = mean_downtime_periods;
-  if (crash_prob_ > 0.0) {
-    queue_.schedule_in(1.0, [this, epoch] { on_crash_recovery_tick(epoch); });
-  }
-}
-
-void NetSimulator::on_crash_recovery_tick(std::uint64_t epoch) {
-  if (epoch != recovery_epoch_) return;  // reconfigured; chain abandoned
-  const std::size_t crashes =
-      rng_.binomial(group_.total_alive(), crash_prob_);
-  for (sim::ProcessId pid : group_.crash_random_alive(crashes, rng_)) {
-    note_mass_crashed(pid);
-    if (mean_downtime_ > 0.0) {
-      const sim::ProcessId copy = pid;
-      queue_.schedule_in(
-          sim::fault_plan::recovery_delay(rng_, mean_downtime_),
-          [this, copy] { recover_process(copy); });
-    }
-  }
-  queue_.schedule_in(1.0, [this, epoch] { on_crash_recovery_tick(epoch); });
-}
-
-void NetSimulator::attach_churn(const sim::ChurnTrace& trace,
-                                double periods_per_hour) {
-  const std::uint64_t epoch = ++churn_epoch_;
-  for (const sim::ChurnEvent& e : sim::fault_plan::trace_in_periods(
-           trace, periods_per_hour, queue_.now())) {
-    if (e.host >= group_.size()) continue;
-    const double t = e.time_hours;  // already converted to periods
-    const sim::ProcessId pid = e.host;
-    if (e.up) {
-      queue_.schedule(t, [this, pid, epoch] {
-        if (epoch == churn_epoch_) recover_process(pid);
-      });
-    } else {
-      queue_.schedule(t, [this, pid, epoch] {
-        if (epoch == churn_epoch_) graceful_leave(pid);
-      });
-    }
-  }
-}
-
-void NetSimulator::sample_metrics() {
-  metrics_.begin_period(queue_.now());
-  metrics_.end_period(group_);
-}
-
 NetStats NetSimulator::net_stats() const {
   NetStats stats = stats_;
   for (const Node& node : nodes_) {
@@ -659,9 +508,7 @@ std::uint16_t NetSimulator::port_of(sim::ProcessId pid) const {
 }
 
 void NetSimulator::kill_node(sim::ProcessId pid) {
-  if (pid >= group_.size() || !group_.alive(pid)) return;
-  group_.crash(pid);
-  note_mass_crashed(pid);
+  if (pid < group_.size()) faults_.crash(pid);
 }
 
 void NetSimulator::watch_fd(int fd, std::function<void()> on_readable) {

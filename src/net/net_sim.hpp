@@ -22,9 +22,11 @@
 //
 // All N nodes live in one OS process (loopback deployment); group state
 // is shared, so directory token routing and population metrics read the
-// same oracle the event backend uses. The per-message behavior mirrors
-// sim/event_sim.cpp action for action, so the loopback equivalence suite
-// can pin net steady states against sync/event/mean-field.
+// same oracle the event backend uses. The probe rules (core::probe_rule)
+// and the fault surface (sim::fault_plan::Scheduler) are the event
+// backend's own, so the loopback equivalence suite can pin net steady
+// states against sync/event/mean-field; this file only says how a probe,
+// push or token travels: as datagrams.
 
 #include <netinet/in.h>
 
@@ -40,6 +42,7 @@
 #include "net/packet.hpp"
 #include "net/socket.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/group.hpp"
 #include "sim/metrics.hpp"
 #include "sim/runtime.hpp"
@@ -123,14 +126,24 @@ class NetSimulator final : public sim::Simulator {
     return group_.total_alive();
   }
 
-  void seed_states(const std::vector<std::size_t>& counts) override;
-  void schedule_massive_failure(double time, double fraction) override;
+  void seed_states(const std::vector<std::size_t>& counts) override {
+    group_.seed_states(counts);
+  }
+  void schedule_massive_failure(double time, double fraction) override {
+    faults_.schedule_massive_failure(time, fraction);
+  }
   void schedule_crash(sim::ProcessId pid, double time,
-                      double recover_time = -1.0) override;
+                      double recover_time = -1.0) override {
+    faults_.schedule_crash(pid, time, recover_time);
+  }
   void set_crash_recovery(double crash_prob,
-                          double mean_downtime_periods) override;
+                          double mean_downtime_periods) override {
+    faults_.set_crash_recovery(crash_prob, mean_downtime_periods);
+  }
   void attach_churn(const sim::ChurnTrace& trace,
-                    double periods_per_hour) override;
+                    double periods_per_hour) override {
+    faults_.attach_churn(trace, periods_per_hour);
+  }
 
   /// Advance sim time by `periods`, paced against the wall clock;
   /// metrics sample each whole period (including t = 0, like the event
@@ -161,9 +174,9 @@ class NetSimulator final : public sim::Simulator {
   using Clock = std::chrono::steady_clock;
 
   struct ProbeContext {
-    std::vector<std::optional<std::size_t>> states;
+    core::ProbeReplies replies;
     std::size_t remaining = 0;
-    std::function<void(const std::vector<std::optional<std::size_t>>&)> done;
+    std::function<void(const core::ProbeReplies&)> done;
   };
   struct PendingProbe {
     std::shared_ptr<ProbeContext> ctx;
@@ -204,23 +217,20 @@ class NetSimulator final : public sim::Simulator {
 
   void arm_timer(sim::ProcessId pid);
   void on_tick(sim::ProcessId pid, std::uint64_t epoch);
-  void run_action(sim::ProcessId pid, std::size_t action_index);
-  void probe_all(
-      sim::ProcessId pid, std::size_t count,
-      std::function<void(const std::vector<std::optional<std::size_t>>&)>
-          done);
+  void run_action(sim::ProcessId pid, const core::Action& action);
+  void probe_all(sim::ProcessId pid, std::size_t count,
+                 std::function<void(const core::ProbeReplies&)> done);
   void resolve_probe(const std::shared_ptr<ProbeContext>& ctx,
                      std::optional<std::size_t> state);
   void route_token(sim::ProcessId pid, std::size_t token_state,
                    std::size_t to_state);
 
-  void crash_process(sim::ProcessId pid);
-  void note_mass_crashed(sim::ProcessId pid);
-  void graceful_leave(sim::ProcessId pid);
-  void recover_process(sim::ProcessId pid);
+  // fault_plan::Scheduler hooks: what a crash, a revival, and a churn
+  // departure mean for a node's socket and timer.
+  void on_crashed(sim::ProcessId pid);
+  void on_recovered(sim::ProcessId pid);
+  void send_leaves(sim::ProcessId pid);
   void begin_join(sim::ProcessId pid, unsigned tries_left);
-  void on_crash_recovery_tick(std::uint64_t epoch);
-  void sample_metrics();
   void record_rtt(Clock::time_point sent_at);
 
   core::ProtocolStateMachine machine_;
@@ -234,11 +244,8 @@ class NetSimulator final : public sim::Simulator {
   std::vector<WatchedFd> watched_;
   sim::TokenStats tokens_;
   NetStats stats_;  // tracker-independent counters (see net_stats())
+  sim::fault_plan::Scheduler faults_;
   std::uint64_t next_probe_id_ = 1;
-  double crash_prob_ = 0.0;
-  double mean_downtime_ = 0.0;
-  std::uint64_t churn_epoch_ = 0;
-  std::uint64_t recovery_epoch_ = 0;
   double next_sample_ = 0.0;
   Clock::time_point anchor_wall_;  // wall <-> sim mapping, reset per run
   double anchor_sim_ = 0.0;

@@ -14,8 +14,8 @@ namespace deproto::sim {
 
 namespace {
 
-/// Raw machines rejoin in state 0 (EventSimulator::rejoin_state() for
-/// machine mode); revived processes enter here.
+/// Raw machines rejoin in state 0, as on the event and net backends
+/// (fault_plan::Scheduler); revived processes enter here.
 constexpr std::size_t kRejoinState = 0;
 
 /// Probes the per-node executors charge for one attempt of `action`:

@@ -9,6 +9,7 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace deproto::sim {
@@ -21,7 +22,9 @@ class EventQueue {
   void schedule(double t, Handler fn);
 
   /// Schedule `fn` `delay` time units from now.
-  void schedule_in(double delay, Handler fn) { schedule(now_ + delay, fn); }
+  void schedule_in(double delay, Handler fn) {
+    schedule(now_ + delay, std::move(fn));
+  }
 
   [[nodiscard]] double now() const noexcept { return now_; }
   /// Timestamp of the earliest pending event; +infinity when empty (so

@@ -1,173 +1,35 @@
 #include "sim/event_sim.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
-
-#include "sim/fault_plan.hpp"
 
 namespace deproto::sim {
 
 EventSimulator::EventSimulator(std::size_t n,
-                               std::optional<core::ProtocolStateMachine> mac,
-                               PeriodicProtocol* protocol, std::uint64_t seed,
-                               EventSimOptions options)
-    : machine_(std::move(mac)),
-      protocol_(protocol),
+                               core::ProtocolStateMachine machine,
+                               std::uint64_t seed, EventSimOptions options)
+    : machine_(std::move(machine)),
       options_(options),
-      queue_(),
       rng_(seed),
-      group_(n, machine_.has_value() ? machine_->num_states()
-                                     : protocol->num_states()),
+      group_(n, machine_.num_states()),
       network_(queue_, rng_, options.network),
-      metrics_(group_.num_states()) {
+      metrics_(group_.num_states()),
+      faults_(queue_, rng_, group_,
+              {.crashed = [this](ProcessId pid) { ++timer_epoch_[pid]; },
+               .recovered = [this](ProcessId pid) { arm_timer(pid); }}),
+      period_of_(n),
+      timer_epoch_(n) {
   if (!(options_.clock_drift >= 0.0 && options_.clock_drift < 0.5)) {
     throw std::invalid_argument("EventSimulator: bad clock drift");
   }
-  if (protocol_ != nullptr) {
-    // Driver mode: one whole-group period per tick of a single drifting,
-    // arbitrary-phase timer.
-    driver_period_ =
-        rng_.uniform(1.0 - options_.clock_drift, 1.0 + options_.clock_drift);
-    queue_.schedule(rng_.uniform01() * driver_period_,
-                    [this] { on_driver_tick(); });
-    return;
-  }
-  period_of_.resize(n);
-  timer_epoch_.assign(n, 0);
   for (ProcessId pid = 0; pid < n; ++pid) {
     period_of_[pid] =
         rng_.uniform(1.0 - options_.clock_drift, 1.0 + options_.clock_drift);
     // Arbitrary phase: the first tick falls anywhere in the first period.
-    const ProcessId copy = pid;
     queue_.schedule(rng_.uniform01() * period_of_[pid],
-                    [this, copy] { on_tick(copy, 0); });
-  }
-}
-
-EventSimulator::EventSimulator(std::size_t n,
-                               core::ProtocolStateMachine machine,
-                               std::uint64_t seed, EventSimOptions options)
-    : EventSimulator(n, std::optional(std::move(machine)), nullptr, seed,
-                     options) {}
-
-EventSimulator::EventSimulator(std::size_t n, PeriodicProtocol& protocol,
-                               std::uint64_t seed, EventSimOptions options)
-    : EventSimulator(n, std::nullopt, &protocol, seed, options) {}
-
-void EventSimulator::seed_states(const std::vector<std::size_t>& counts) {
-  std::size_t total = 0;
-  for (std::size_t c : counts) total += c;
-  if (counts.size() > group_.num_states() || total > group_.size()) {
-    throw std::invalid_argument("seed_states: bad counts");
-  }
-  ProcessId pid = 0;
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    for (std::size_t k = 0; k < counts[s]; ++k, ++pid) {
-      group_.transition(pid, s);
-    }
-  }
-}
-
-void EventSimulator::crash_process(ProcessId pid) {
-  if (!group_.alive(pid)) return;
-  if (protocol_ != nullptr) protocol_->on_crash(pid);
-  group_.crash(pid);
-  if (!timer_epoch_.empty()) ++timer_epoch_[pid];
-}
-
-void EventSimulator::note_mass_crashed(ProcessId pid) {
-  // Bookkeeping for victims Group::crash_random_alive already crashed:
-  // fire the protocol hook (after the crash, like the sync backend's
-  // massive-failure path) and invalidate any pending timer.
-  if (protocol_ != nullptr) protocol_->on_crash(pid);
-  if (!timer_epoch_.empty()) ++timer_epoch_[pid];
-}
-
-void EventSimulator::recover_process(ProcessId pid) {
-  if (group_.alive(pid)) return;
-  group_.recover(pid, rejoin_state());
-  if (machine_.has_value()) arm_timer(pid);
-  // Driver mode: the group-wide period timer keeps running; the revived
-  // process simply participates in the next execute_period.
-}
-
-void EventSimulator::schedule_massive_failure(double time, double fraction) {
-  fault_plan::validate_failure_fraction(fraction);
-  queue_.schedule(std::max(time, queue_.now()), [this, fraction] {
-    const std::size_t victims =
-        fault_plan::failure_victims(fraction, group_.total_alive());
-    for (ProcessId pid : group_.crash_random_alive(victims, rng_)) {
-      note_mass_crashed(pid);
-    }
-  });
-}
-
-void EventSimulator::schedule_crash(ProcessId pid, double time,
-                                    double recover_time) {
-  if (pid >= group_.size()) return;  // ignored, like the sync backend
-  queue_.schedule(std::max(time, queue_.now()),
-                  [this, pid] { crash_process(pid); });
-  if (recover_time >= 0.0) {
-    queue_.schedule(std::max(recover_time, queue_.now()),
-                    [this, pid] { recover_process(pid); });
-  }
-}
-
-void EventSimulator::set_crash_recovery(double crash_prob,
-                                        double mean_downtime_periods) {
-  fault_plan::validate_crash_recovery(crash_prob, mean_downtime_periods);
-  // Each call starts a fresh tick chain; any chain already in the queue
-  // carries a stale epoch and dies at its next tick, so reconfiguring
-  // (including disarm + re-arm within one period) never stacks chains.
-  const std::uint64_t epoch = ++recovery_epoch_;
-  crash_prob_ = crash_prob;
-  mean_downtime_ = mean_downtime_periods;
-  if (crash_prob_ > 0.0) {
-    queue_.schedule_in(1.0, [this, epoch] { on_crash_recovery_tick(epoch); });
-  }
-}
-
-void EventSimulator::on_crash_recovery_tick(std::uint64_t epoch) {
-  if (epoch != recovery_epoch_) return;  // reconfigured; chain abandoned
-  const std::size_t crashes =
-      rng_.binomial(group_.total_alive(), crash_prob_);
-  for (ProcessId pid : group_.crash_random_alive(crashes, rng_)) {
-    note_mass_crashed(pid);
-    if (mean_downtime_ > 0.0) {
-      // Downtime quantization is shared with the sync backend: one period
-      // (the crash is only noticed at the next boundary) plus an
-      // exponential tail. Recoveries outlive a later disarm, as the sync
-      // backend's heap does.
-      const ProcessId copy = pid;
-      queue_.schedule_in(fault_plan::recovery_delay(rng_, mean_downtime_),
-                         [this, copy] { recover_process(copy); });
-    }
-  }
-  queue_.schedule_in(1.0, [this, epoch] { on_crash_recovery_tick(epoch); });
-}
-
-void EventSimulator::attach_churn(const ChurnTrace& trace,
-                                  double periods_per_hour) {
-  // Attaching replaces any earlier trace (the sync backend's semantics):
-  // events already in the queue carry the previous epoch and become
-  // no-ops, since the queue offers no cancellation.
-  const std::uint64_t epoch = ++churn_epoch_;
-  for (const ChurnEvent& e :
-       fault_plan::trace_in_periods(trace, periods_per_hour, queue_.now())) {
-    if (e.host >= group_.size()) continue;
-    const double t = e.time_hours;  // already converted to periods
-    const ProcessId pid = e.host;
-    if (e.up) {
-      queue_.schedule(t, [this, pid, epoch] {
-        if (epoch == churn_epoch_) recover_process(pid);
-      });
-    } else {
-      queue_.schedule(t, [this, pid, epoch] {
-        if (epoch == churn_epoch_) crash_process(pid);
-      });
-    }
+                    [this, pid] { on_tick(pid, 0); });
   }
 }
 
@@ -181,24 +43,22 @@ void EventSimulator::on_tick(ProcessId pid, std::uint64_t epoch) {
   // Stale timers (armed before a crash) die here, even if the process has
   // since recovered (recovery armed a fresh-epoch timer).
   if (epoch != timer_epoch_[pid] || !group_.alive(pid)) return;
-  const std::size_t state = group_.state_of(pid);
-  for (std::size_t idx : machine_->actions_of(state)) {
-    run_action(pid, idx);
+  for (std::size_t idx : machine_.actions_of(group_.state_of(pid))) {
+    run_action(pid, machine_.actions()[idx]);
   }
   arm_timer(pid);
 }
 
-void EventSimulator::on_driver_tick() {
-  protocol_->execute_period(group_, rng_, metrics_);
-  queue_.schedule_in(driver_period_, [this] { on_driver_tick(); });
-}
-
-void EventSimulator::route_token_directory(std::size_t token_state,
-                                           std::size_t to_state) {
+void EventSimulator::route_token(std::size_t token_state,
+                                 std::size_t to_state) {
+  if (options_.tokens.mode == TokenRouting::Mode::RandomWalkTtl) {
+    route_token_walk(token_state, to_state, options_.tokens.ttl);
+    return;
+  }
   if (group_.count(token_state) == 0) return;  // dropped
   const ProcessId receiver = group_.random_member(token_state, rng_);
   network_.send([this, receiver, token_state, to_state] {
-    if (group_.alive(receiver) && group_.state_of(receiver) == token_state) {
+    if (group_.live_state(receiver) == token_state) {
       group_.transition(receiver, to_state);
     }
   });
@@ -210,7 +70,7 @@ void EventSimulator::route_token_walk(std::size_t token_state,
   if (ttl_left == 0) return;  // expired
   const auto target = static_cast<ProcessId>(rng_.uniform_int(group_.size()));
   network_.send([this, target, token_state, to_state, ttl_left] {
-    if (group_.alive(target) && group_.state_of(target) == token_state) {
+    if (group_.live_state(target) == token_state) {
       group_.transition(target, to_state);
       return;
     }
@@ -218,147 +78,80 @@ void EventSimulator::route_token_walk(std::size_t token_state,
   });
 }
 
-void EventSimulator::run_action(ProcessId pid, std::size_t action_index) {
-  const core::Action& action = machine_->actions()[action_index];
+void EventSimulator::probe_all(
+    ProcessId pid, std::size_t count,
+    std::function<void(const core::ProbeReplies&)> done) {
+  if (count == 0) {
+    done({});
+    return;
+  }
+  struct Pending {
+    core::ProbeReplies replies;
+    std::function<void(const core::ProbeReplies&)> done;
+  };
+  auto pending = std::make_shared<Pending>(Pending{{}, std::move(done)});
+  pending->replies.reserve(count);
+  const auto finish = [pending, count](std::optional<std::size_t> state) {
+    pending->replies.push_back(state);
+    if (pending->replies.size() == count) pending->done(pending->replies);
+  };
+  for (std::size_t k = 0; k < count; ++k) {
+    const ProcessId target = group_.random_target(pid, rng_);
+    network_.send(
+        [this, target, finish] {
+          // The reply carries the target's state at response time; a
+          // crashed target never answers, which reads as a lost reply.
+          const std::optional<std::size_t> remote = group_.live_state(target);
+          if (!remote) {
+            finish(std::nullopt);
+            return;
+          }
+          network_.send([finish, remote] { finish(remote); },
+                        [finish] { finish(std::nullopt); });
+        },
+        [finish] { finish(std::nullopt); });
+  }
+}
 
-  // Probe r targets; `done(states)` runs when every response (or loss
-  // surrogate) has arrived. Lost/crash responses arrive as nullopt.
-  auto probe_all =
-      [this, pid](std::size_t count,
-                  std::function<void(
-                      const std::vector<std::optional<std::size_t>>&)>
-                      done) {
-        auto collected = std::make_shared<
-            std::vector<std::optional<std::size_t>>>();
-        auto remaining = std::make_shared<std::size_t>(count);
-        collected->reserve(count);
-        if (count == 0) {
-          done({});
-          return;
-        }
-        auto finish = [collected, remaining,
-                       done](std::optional<std::size_t> state) {
-          collected->push_back(state);
-          if (--*remaining == 0) done(*collected);
-        };
-        for (std::size_t k = 0; k < count; ++k) {
-          const ProcessId target = group_.random_target(pid, rng_);
-          network_.send(
-              [this, target, finish] {
-                // The reply carries the target's state at response time;
-                // crashed targets never answer (loss surrogate below fires
-                // for them too, so model crash as a lost reply).
-                if (!group_.alive(target)) {
-                  finish(std::nullopt);
-                  return;
-                }
-                const std::size_t remote = group_.state_of(target);
-                network_.send([finish, remote] { finish(remote); },
-                              [finish] { finish(std::nullopt); });
-              },
-              [finish] { finish(std::nullopt); });
-        }
-      };
-
+void EventSimulator::run_action(ProcessId pid, const core::Action& action) {
   std::visit(
       [&](const auto& a) {
         using T = std::decay_t<decltype(a)>;
         if constexpr (std::is_same_v<T, core::FlippingAction>) {
-          if (rng_.bernoulli(a.coin_bias)) {
-            group_.transition(pid, a.to_state);
-          }
-        } else if constexpr (std::is_same_v<T, core::SamplingAction>) {
-          const std::size_t count =
-              a.same_state_samples + a.target_states.size();
-          auto spec = a;
-          probe_all(count, [this, pid, spec](const auto& states) {
-            if (!group_.alive(pid) ||
-                group_.state_of(pid) != spec.from_state) {
-              return;  // moved on or crashed while waiting
-            }
-            bool match = true;
-            std::size_t at = 0;
-            for (std::size_t k = 0; match && k < spec.same_state_samples;
-                 ++k, ++at) {
-              match = states[at].has_value() &&
-                      *states[at] == spec.from_state;
-            }
-            for (std::size_t t : spec.target_states) {
-              if (!match) break;
-              match = states[at].has_value() && *states[at] == t;
-              ++at;
-            }
-            if (match && rng_.bernoulli(spec.coin_bias)) {
-              group_.transition(pid, spec.to_state);
-            }
-          });
-        } else if constexpr (std::is_same_v<T, core::TokenizingAction>) {
-          const std::size_t count =
-              a.same_state_samples + a.target_states.size();
-          auto spec = a;
-          probe_all(count, [this, spec](const auto& states) {
-            bool match = true;
-            std::size_t at = 0;
-            for (std::size_t k = 0; match && k < spec.same_state_samples;
-                 ++k, ++at) {
-              match = states[at].has_value() &&
-                      *states[at] == spec.executor_state;
-            }
-            for (std::size_t t : spec.target_states) {
-              if (!match) break;
-              match = states[at].has_value() && *states[at] == t;
-              ++at;
-            }
-            if (match && rng_.bernoulli(spec.coin_bias)) {
-              if (options_.tokens.mode == TokenRouting::Mode::RandomWalkTtl) {
-                route_token_walk(spec.token_state, spec.to_state,
-                                 options_.tokens.ttl);
-              } else {
-                route_token_directory(spec.token_state, spec.to_state);
-              }
-            }
-          });
+          if (rng_.bernoulli(a.coin_bias)) group_.transition(pid, a.to_state);
         } else if constexpr (std::is_same_v<T, core::PushAction>) {
           for (unsigned k = 0; k < a.fanout; ++k) {
             const ProcessId target = group_.random_target(pid, rng_);
-            const auto spec = a;
-            network_.send([this, target, spec] {
-              if (group_.alive(target) &&
-                  group_.state_of(target) == spec.target_state &&
-                  rng_.bernoulli(spec.coin_bias)) {
-                group_.transition(target, spec.to_state);
+            network_.send([this, target, &a] {
+              if (group_.live_state(target) == a.target_state &&
+                  rng_.bernoulli(a.coin_bias)) {
+                group_.transition(target, a.to_state);
               }
             });
           }
-        } else if constexpr (std::is_same_v<T, core::AnyOfSamplingAction>) {
-          auto spec = a;
-          probe_all(spec.fanout, [this, pid, spec](const auto& states) {
-            if (!group_.alive(pid) ||
-                group_.state_of(pid) != spec.from_state) {
-              return;
+        } else {
+          // A probing action: ask, then decide once every reply is in.
+          auto decide = [this, pid, &action, &a](const core::ProbeReplies& r) {
+            const std::optional<std::size_t> self = group_.live_state(pid);
+            if (!core::probe_rule(action, self, r).fires) return;
+            if (!rng_.bernoulli(a.coin_bias)) return;
+            if constexpr (std::is_same_v<T, core::TokenizingAction>) {
+              route_token(a.token_state, a.to_state);
+            } else {
+              group_.transition(pid, a.to_state);
             }
-            bool any = false;
-            for (const auto& s : states) {
-              if (s.has_value() && *s == spec.match_state) any = true;
-            }
-            if (any && rng_.bernoulli(spec.coin_bias)) {
-              group_.transition(pid, spec.to_state);
-            }
-          });
+          };
+          probe_all(pid, core::probe_rule(action).probes, std::move(decide));
         }
       },
       action);
 }
 
-void EventSimulator::sample_metrics() {
-  metrics_.begin_period(queue_.now());
-  metrics_.end_period(group_);
-}
-
 void EventSimulator::run_until(double t_end) {
   while (next_sample_ <= t_end) {
     queue_.run_until(next_sample_);
-    sample_metrics();
+    metrics_.begin_period(queue_.now());
+    metrics_.end_period(group_);
     next_sample_ += 1.0;
   }
   queue_.run_until(t_end);

@@ -1,31 +1,27 @@
 #pragma once
 
-// Fully asynchronous execution backend. In machine mode each process runs
-// its own protocol-period timer (arbitrary phase, bounded drift -- the
-// paper's clock model), sampling probes are real request/response message
-// pairs over the unreliable network, and decisions are taken when the last
+// Fully asynchronous execution backend. Each process runs its own
+// protocol-period timer (arbitrary phase, bounded drift -- the paper's
+// clock model), sampling probes are real request/response message pairs
+// over the unreliable network, and decisions are taken when the last
 // response (or loss surrogate) arrives. This validates that the protocols
 // need no global clock, synchronization, or agreement.
 //
-// A second constructor accepts any hand-written PeriodicProtocol and drives
-// it from a (drifting, arbitrary-phase) period timer, so the paper's case
-// studies (protocols/epidemic|lv_majority|endemic_replication) and any
-// MachineExecutor compose with the event backend's fault surface -- churn
-// playback, crash-recovery, targeted crashes -- exactly like synthesized
-// machines do.
+// The probe rules (core::probe_rule) and the fault surface
+// (fault_plan::Scheduler) are shared with the net backend; this file only
+// says how a probe, push or token travels: as closures over sim::Network.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <optional>
+#include <functional>
 #include <vector>
 
 #include "core/state_machine.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/group.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
-#include "sim/protocol.hpp"
 #include "sim/runtime.hpp"
 #include "sim/simulator.hpp"
 
@@ -43,16 +39,9 @@ struct EventSimOptions {
 
 class EventSimulator final : public Simulator {
  public:
-  /// Machine mode: interpret a synthesized state machine, one independent
-  /// timer per process.
+  /// Interpret a synthesized state machine, one independent timer per
+  /// process.
   EventSimulator(std::size_t n, core::ProtocolStateMachine machine,
-                 std::uint64_t seed, EventSimOptions options = {});
-
-  /// Protocol-driver mode: execute a hand-written PeriodicProtocol one
-  /// whole period per tick of a drifting, arbitrary-phase period timer.
-  /// The protocol does its own (synchronous) sampling; the network carries
-  /// no messages in this mode.
-  EventSimulator(std::size_t n, PeriodicProtocol& protocol,
                  std::uint64_t seed, EventSimOptions options = {});
 
   [[nodiscard]] Group& group() noexcept override { return group_; }
@@ -73,14 +62,26 @@ class EventSimulator final : public Simulator {
   [[nodiscard]] const Network& network() const noexcept { return network_; }
   [[nodiscard]] double now() const noexcept override { return queue_.now(); }
 
-  void schedule_massive_failure(double time, double fraction) override;
+  void seed_states(const std::vector<std::size_t>& counts) override {
+    group_.seed_states(counts);
+  }
+  void schedule_massive_failure(double time, double fraction) override {
+    faults_.schedule_massive_failure(time, fraction);
+  }
   /// Crash one process at `time`; if `recover_time` >= 0, revive it then
-  /// into the protocol's rejoin_state() (state 0 for raw machines).
+  /// into state 0.
   void schedule_crash(ProcessId pid, double time,
-                      double recover_time = -1.0) override;
+                      double recover_time = -1.0) override {
+    faults_.schedule_crash(pid, time, recover_time);
+  }
   void set_crash_recovery(double crash_prob,
-                          double mean_downtime_periods) override;
-  void attach_churn(const ChurnTrace& trace, double periods_per_hour) override;
+                          double mean_downtime_periods) override {
+    faults_.set_crash_recovery(crash_prob, mean_downtime_periods);
+  }
+  void attach_churn(const ChurnTrace& trace,
+                    double periods_per_hour) override {
+    faults_.attach_churn(trace, periods_per_hour);
+  }
 
   /// Run until absolute time `t_end` (periods); metrics sample each unit.
   void run_until(double t_end);
@@ -88,48 +89,28 @@ class EventSimulator final : public Simulator {
   /// Simulator interface: run_until(now() + periods).
   void run_for(double periods) override;
 
-  void seed_states(const std::vector<std::size_t>& counts) override;
-
  private:
-  EventSimulator(std::size_t n, std::optional<core::ProtocolStateMachine> mac,
-                 PeriodicProtocol* protocol, std::uint64_t seed,
-                 EventSimOptions options);
-
-  [[nodiscard]] std::size_t rejoin_state() const {
-    return protocol_ != nullptr ? protocol_->rejoin_state() : 0;
-  }
-  void crash_process(ProcessId pid);
-  void note_mass_crashed(ProcessId pid);
-  void recover_process(ProcessId pid);
   void arm_timer(ProcessId pid);
   void on_tick(ProcessId pid, std::uint64_t epoch);
-  void on_driver_tick();
-  void on_crash_recovery_tick(std::uint64_t epoch);
-  void run_action(ProcessId pid, std::size_t action_index);
-  void route_token_directory(std::size_t token_state, std::size_t to_state);
+  void run_action(ProcessId pid, const core::Action& action);
+  void probe_all(ProcessId pid, std::size_t count,
+                 std::function<void(const core::ProbeReplies&)> done);
+  void route_token(std::size_t token_state, std::size_t to_state);
   void route_token_walk(std::size_t token_state, std::size_t to_state,
                         unsigned ttl_left);
-  void sample_metrics();
 
-  std::optional<core::ProtocolStateMachine> machine_;  // machine mode
-  PeriodicProtocol* protocol_ = nullptr;               // driver mode
+  core::ProtocolStateMachine machine_;
   EventSimOptions options_;
   EventQueue queue_;
   Rng rng_;
   Group group_;
   Network network_;
   MetricsCollector metrics_;
+  fault_plan::Scheduler faults_;
   std::vector<double> period_of_;  // per-process period length
   // Guards against stale timers: bumped on every crash, so a tick armed
   // before the crash is ignored even if the process recovered meanwhile.
   std::vector<std::uint64_t> timer_epoch_;
-  double driver_period_ = 1.0;     // driver mode period length
-  double crash_prob_ = 0.0;        // background crash-recovery, per period
-  double mean_downtime_ = 0.0;     // 0 = crash-stop
-  // Bumped by attach_churn: queued events from a replaced trace no-op.
-  std::uint64_t churn_epoch_ = 0;
-  // Bumped by set_crash_recovery: a superseded tick chain no-ops.
-  std::uint64_t recovery_epoch_ = 0;
   double next_sample_ = 0.0;
 };
 

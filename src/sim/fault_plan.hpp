@@ -1,14 +1,19 @@
 #pragma once
 // Fault-plan quantization and validation rules shared by every execution
-// backend (sync, event, count). Each rule used to live duplicated inside
-// sync_sim.cpp and event_sim.cpp; a backend that re-derives any of them
-// risks drifting from the others in exactly the places the backend
-// equivalence suite compares, so they are pinned here once.
+// backend (sync, event, count, net), plus the queue-driven Scheduler the
+// two asynchronous backends (event, net) run their whole fault surface
+// through. A backend that re-derives any of these risks drifting from the
+// others in exactly the places the equivalence suites compare, so each
+// is pinned here once.
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/churn.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/group.hpp"
 #include "sim/rng.hpp"
 
 namespace deproto::sim::fault_plan {
@@ -45,5 +50,55 @@ void validate_periods_per_hour(double periods_per_hour);
 /// a round-based backend notices an event scheduled at `time`. Negative
 /// times clamp to period 0.
 [[nodiscard]] std::size_t first_period_at_or_after(double time);
+
+/// The fault surface of the asynchronous backends: massive failures,
+/// targeted crashes, the background crash-recovery tick chain, and churn
+/// playback, scheduled on the backend's EventQueue with draws from its
+/// Rng. The scheduler does the Group bookkeeping itself (crash; recover
+/// into state 0, the rejoin state of a raw machine) and tells the backend
+/// through hooks, so only what a crash means for a node's timer or socket
+/// stays backend-specific.
+class Scheduler {
+ public:
+  struct Hooks {
+    /// `pid` has just crashed, whatever the cause.
+    std::function<void(ProcessId)> crashed;
+    /// `pid` has just been revived into state 0.
+    std::function<void(ProcessId)> recovered;
+    /// A churn departure of alive `pid`, just before it crashes (net
+    /// gossips a Leave). Optional: a plain crash needs nothing here.
+    std::function<void(ProcessId)> departing;
+  };
+
+  Scheduler(EventQueue& queue, Rng& rng, Group& group, Hooks hooks);
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+
+  /// The Simulator operations of the same names.
+  void schedule_massive_failure(double time, double fraction);
+  void schedule_crash(ProcessId pid, double time, double recover_time);
+  void set_crash_recovery(double crash_prob, double mean_downtime_periods);
+  void attach_churn(const ChurnTrace& trace, double periods_per_hour);
+
+  /// Crash `pid` now; a no-op if it is already down.
+  void crash(ProcessId pid);
+
+ private:
+  void recover(ProcessId pid);
+  void on_crash_recovery_tick(std::uint64_t epoch);
+
+  EventQueue& queue_;
+  Rng& rng_;
+  Group& group_;
+  Hooks hooks_;
+  double crash_prob_ = 0.0;     // background crash-recovery, per period
+  double mean_downtime_ = 0.0;  // 0 = crash-stop
+  // The queue offers no cancellation, so replaced work is fenced off by
+  // epochs instead. attach_churn bumps churn_epoch_: events queued from
+  // an earlier trace no-op. set_crash_recovery bumps recovery_epoch_: a
+  // superseded tick chain dies at its next tick.
+  std::uint64_t churn_epoch_ = 0;
+  std::uint64_t recovery_epoch_ = 0;
+};
 
 }  // namespace deproto::sim::fault_plan

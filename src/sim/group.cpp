@@ -39,6 +39,23 @@ void Group::bucket_insert(ProcessId pid, std::size_t state) {
   state_[pid] = static_cast<std::uint8_t>(state);
 }
 
+void Group::seed_states(const std::vector<std::size_t>& counts) {
+  if (counts.size() > num_states()) {
+    throw std::invalid_argument("seed_states: too many states");
+  }
+  std::size_t total = 0;
+  for (std::size_t c : counts) total += c;
+  if (total > size()) {
+    throw std::invalid_argument("seed_states: counts exceed group size");
+  }
+  ProcessId pid = 0;
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    for (std::size_t k = 0; k < counts[s]; ++k, ++pid) {
+      if (alive(pid)) transition(pid, s);
+    }
+  }
+}
+
 void Group::transition(ProcessId pid, std::size_t to_state) {
   if (!alive(pid)) {
     throw std::logic_error("Group::transition: process is crashed");

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -33,6 +34,11 @@ class Group {
   [[nodiscard]] std::size_t state_of(ProcessId pid) const {
     return state_.at(pid);
   }
+  /// state_of(pid) while alive; nullopt while crashed.
+  [[nodiscard]] std::optional<std::size_t> live_state(ProcessId pid) const {
+    if (!alive(pid)) return std::nullopt;
+    return state_of(pid);
+  }
 
   /// Number of *alive* processes in `state`.
   [[nodiscard]] std::size_t count(std::size_t state) const {
@@ -47,6 +53,13 @@ class Group {
   [[nodiscard]] const std::vector<ProcessId>& members(std::size_t state) const {
     return buckets_.at(state);
   }
+
+  /// Distribute initial states (Simulator::seed_states for every per-node
+  /// backend): pids are dealt out in order, counts[s] of them to state s;
+  /// a crashed pid uses up its slot but keeps its state. Throws
+  /// std::invalid_argument on more counts than states or on counts
+  /// summing past size().
+  void seed_states(const std::vector<std::size_t>& counts);
 
   /// Move an alive process to `to_state`. Fires the transition observer.
   void transition(ProcessId pid, std::size_t to_state);

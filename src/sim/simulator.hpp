@@ -66,7 +66,10 @@ class Simulator {
   [[nodiscard]] virtual std::size_t total_alive() const noexcept = 0;
 
   /// Distribute initial states: counts[s] processes start in state s
-  /// (counts must sum to <= N; remaining processes keep state 0).
+  /// (counts must sum to <= N; remaining processes keep state 0). On the
+  /// per-node backends a crashed process uses up its slot and stays down.
+  /// Throws std::invalid_argument on more counts than states or on counts
+  /// summing past N.
   virtual void seed_states(const std::vector<std::size_t>& counts) = 0;
 
   /// Crash `fraction` of the alive processes at `time`. Throws

@@ -47,24 +47,6 @@ void SyncSimulator::attach_churn(const ChurnTrace& trace,
             });
 }
 
-void SyncSimulator::seed_states(const std::vector<std::size_t>& counts) {
-  if (counts.size() > group_.num_states()) {
-    throw std::invalid_argument("seed_states: too many states");
-  }
-  std::size_t total = 0;
-  for (std::size_t c : counts) total += c;
-  if (total > group_.size()) {
-    throw std::invalid_argument("seed_states: counts exceed group size");
-  }
-  ProcessId pid = 0;
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    for (std::size_t k = 0; k < counts[s]; ++k, ++pid) {
-      if (!group_.alive(pid)) continue;
-      group_.transition(pid, s);
-    }
-  }
-}
-
 void SyncSimulator::set_crash_recovery(double crash_prob,
                                        double mean_downtime_periods) {
   fault_plan::validate_crash_recovery(crash_prob, mean_downtime_periods);

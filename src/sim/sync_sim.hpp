@@ -70,7 +70,9 @@ class SyncSimulator final : public Simulator {
   /// Simulator interface: rounds `periods` up to whole rounds.
   void run_for(double periods) override;
 
-  void seed_states(const std::vector<std::size_t>& counts) override;
+  void seed_states(const std::vector<std::size_t>& counts) override {
+    group_.seed_states(counts);
+  }
 
  private:
   void apply_churn_until(std::vector<ChurnEvent>& events, std::size_t& next,

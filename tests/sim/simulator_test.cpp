@@ -1,22 +1,29 @@
-// The unified Simulator interface: both backends are programmable through
-// the same fault/scheduling/seeding surface, the event backend honors
-// rejoin_state()/on_crash() (it used to hard-code recovery into state 0),
-// and hand-written PeriodicProtocols run on the event backend via the
-// timer-driven adapter.
+// The unified Simulator interface: every backend is programmable through
+// the same fault/scheduling/seeding surface, and the two asynchronous
+// backends (event, net) share one fault scheduler, checked here on both.
 
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "core/synthesis.hpp"
+#include "net/net_sim.hpp"
 #include "ode/catalog.hpp"
-#include "protocols/epidemic.hpp"
-#include "protocols/lv_majority.hpp"
 #include "sim/event_sim.hpp"
+#include "sim/runtime.hpp"
 #include "sim/sync_sim.hpp"
 
 namespace deproto::sim {
 namespace {
+
+/// Two states and no actions: only faults move the population, so fault
+/// semantics show without protocol noise.
+core::ProtocolStateMachine frozen_machine() {
+  return core::ProtocolStateMachine({"x", "y"});
+}
 
 /// Minimal protocol with observable fault hooks: state 0 flips to 1 with
 /// probability q; rejoiners land in `rejoin`; crashes are counted.
@@ -34,17 +41,14 @@ class FlipProtocol final : public PeriodicProtocol {
     for (std::size_t i = 0; i < k; ++i) {
       group.transition(group.random_member(0, rng), 1);
     }
-    ++periods_executed_;
   }
 
   [[nodiscard]] int crashes_seen() const { return crashes_seen_; }
-  [[nodiscard]] int periods_executed() const { return periods_executed_; }
 
  private:
   double q_;
   std::size_t rejoin_;
   int crashes_seen_ = 0;
-  int periods_executed_ = 0;
 };
 
 /// The point of the interface: one fault program, any backend.
@@ -60,8 +64,7 @@ TEST(SimulatorInterfaceTest, OneFaultProgramDrivesEitherBackend) {
   SyncSimulator sync(100, sync_protocol, 1);
   program_faults(sync);
 
-  FlipProtocol event_protocol(0.0);
-  EventSimulator event(100, event_protocol, 1);
+  EventSimulator event(100, frozen_machine(), 1);
   program_faults(event);
 
   for (Simulator* simulator : {static_cast<Simulator*>(&sync),
@@ -74,7 +77,22 @@ TEST(SimulatorInterfaceTest, OneFaultProgramDrivesEitherBackend) {
     EXPECT_GE(simulator->metrics().samples().size(), 10U);
   }
   EXPECT_GE(sync_protocol.crashes_seen(), 50);
-  EXPECT_GE(event_protocol.crashes_seen(), 50);
+}
+
+TEST(SimulatorInterfaceTest, SeedingSkipsCrashedProcessesOnEveryBackend) {
+  // One seeding rule (Group::seed_states) for sync, event and net: a
+  // crashed pid uses up its slot and stays down.
+  MachineExecutor executor(frozen_machine());
+  SyncSimulator sync(10, executor, 17);
+  EventSimulator event(10, frozen_machine(), 17);
+  for (Simulator* simulator : {static_cast<Simulator*>(&sync),
+                               static_cast<Simulator*>(&event)}) {
+    simulator->schedule_crash(3, 0.0);
+    simulator->run_for(1.0);
+    simulator->seed_states({5, 5});
+    EXPECT_EQ(simulator->count(0), 4U);  // pids 0-4 less the crashed 3
+    EXPECT_EQ(simulator->count(1), 5U);  // pids 5-9
+  }
 }
 
 TEST(SimulatorInterfaceTest, SyncScheduleCrashRecoversIntoRejoinState) {
@@ -87,22 +105,6 @@ TEST(SimulatorInterfaceTest, SyncScheduleCrashRecoversIntoRejoinState) {
   EXPECT_TRUE(simulator.group().alive(3));
   EXPECT_EQ(simulator.group().state_of(3), 1U);
   EXPECT_EQ(protocol.crashes_seen(), 1);
-}
-
-TEST(SimulatorInterfaceTest, EventRecoveryHonorsRejoinState) {
-  // The pre-unification EventSimulator hard-coded recover_state = 0;
-  // LvMajority rejoins undecided (state kZ = 2). All-undecided seeding
-  // keeps the dynamics static, so the recovered state is exactly the
-  // rejoin state.
-  proto::LvMajority protocol({});
-  EventSimulator simulator(50, protocol, 3);
-  simulator.seed_states({0, 0, 50});
-  simulator.schedule_crash(7, 0.5, /*recover_time=*/1.5);
-  simulator.run_for(1.0);
-  EXPECT_FALSE(simulator.group().alive(7));
-  simulator.run_for(1.0);
-  EXPECT_TRUE(simulator.group().alive(7));
-  EXPECT_EQ(simulator.group().state_of(7), proto::LvMajority::kZ);
 }
 
 TEST(SimulatorInterfaceTest, EventMachineModeRecoversIntoStateZero) {
@@ -147,8 +149,7 @@ TEST(SimulatorInterfaceTest, AttachChurnReplacesThePreviousTrace) {
   sync.attach_churn(second, 10.0);
   sync.run_for(5.0);
 
-  FlipProtocol event_protocol(0.0);
-  EventSimulator event(10, event_protocol, 14);
+  EventSimulator event(10, frozen_machine(), 14);
   event.attach_churn(first, 10.0);
   event.attach_churn(second, 10.0);
   event.run_for(5.0);
@@ -162,8 +163,8 @@ TEST(SimulatorInterfaceTest, AttachChurnReplacesThePreviousTrace) {
 }
 
 TEST(SimulatorInterfaceTest, EventChurnPlaybackCrashesAndRecovers) {
-  FlipProtocol protocol(0.0, /*rejoin=*/1);
-  EventSimulator simulator(10, protocol, 5);
+  EventSimulator simulator(10, frozen_machine(), 5);
+  simulator.seed_states({0, 10});
   // Host 3 leaves at hour 0.1 and rejoins at hour 0.5 (periods: x10).
   simulator.attach_churn(ChurnTrace::from_events({
                              ChurnEvent{0.1, 3, false},
@@ -172,10 +173,10 @@ TEST(SimulatorInterfaceTest, EventChurnPlaybackCrashesAndRecovers) {
                          10.0);
   simulator.run_for(2.0);  // departure at t=1.0 applied, rejoin not yet
   EXPECT_FALSE(simulator.group().alive(3));
-  EXPECT_EQ(protocol.crashes_seen(), 1);
+  EXPECT_EQ(simulator.total_alive(), 9U);
   simulator.run_for(4.0);  // covers the rejoin at t=5.0
   EXPECT_TRUE(simulator.group().alive(3));
-  EXPECT_EQ(simulator.group().state_of(3), 1U);
+  EXPECT_EQ(simulator.group().state_of(3), 0U);  // a machine rejoins in 0
 }
 
 TEST(SimulatorInterfaceTest, EventCrashRecoveryKeepsPopulationRoughlyConstant) {
@@ -251,27 +252,6 @@ TEST(SimulatorInterfaceTest, EventValidatesFaultArguments) {
   EXPECT_THROW(simulator.attach_churn(trace, 0.0), std::invalid_argument);
 }
 
-TEST(SimulatorInterfaceTest, HandWrittenEpidemicRunsOnEventBackend) {
-  // The timer-driven PeriodicProtocol adapter: the Section 1 pull epidemic
-  // (a hand-written protocol, not a synthesized machine) completes on the
-  // asynchronous backend.
-  proto::PullEpidemic protocol;
-  EventSimulator simulator(300, protocol, 9);
-  simulator.seed_states({299, 1});
-  simulator.run_for(40.0);
-  EXPECT_EQ(simulator.group().count(proto::PullEpidemic::kInfected), 300U);
-}
-
-TEST(SimulatorInterfaceTest, DriverModeExecutesOnePeriodPerTimeUnit) {
-  FlipProtocol protocol(0.5);
-  EventSimOptions options;
-  options.clock_drift = 0.0;  // exactly one period per time unit
-  EventSimulator simulator(100, protocol, 10, options);
-  simulator.run_for(20.0);
-  EXPECT_EQ(protocol.periods_executed(), 20);
-  EXPECT_LT(simulator.group().count(0), 5U);
-}
-
 TEST(SimulatorInterfaceTest, RunForAdvancesNow) {
   FlipProtocol protocol(0.0);
   SyncSimulator sync(10, protocol, 11);
@@ -287,6 +267,104 @@ TEST(SimulatorInterfaceTest, RunForAdvancesNow) {
   event.run_for(2.5);  // event time is genuinely fractional
   EXPECT_DOUBLE_EQ(event.now(), 5.5);
 }
+
+/// The two asynchronous backends share one fault scheduler. Net runs on
+/// loopback sockets with 2 ms periods; with the frozen machine no message
+/// is ever sent, so both backends draw the same random numbers.
+std::unique_ptr<Simulator> make_async(const std::string& backend,
+                                      std::size_t n, std::uint64_t seed) {
+  if (backend == "event") {
+    return std::make_unique<EventSimulator>(n, frozen_machine(), seed);
+  }
+  net::NetSimOptions options;
+  options.period_ms = 2.0;
+  return std::make_unique<net::NetSimulator>(n, frozen_machine(), seed,
+                                             options);
+}
+
+TEST(SimulatorInterfaceTest, EventAndNetCrashTheSameProcesses) {
+  // Without recoveries (whose Join handshake draws on net) the shared
+  // scheduler makes the same draws on both backends, victim for victim.
+  auto event = make_async("event", 100, 20);
+  auto net = make_async("net", 100, 20);
+  for (Simulator* simulator : {event.get(), net.get()}) {
+    simulator->schedule_massive_failure(1.5, 0.3);
+    simulator->set_crash_recovery(0.05, 0.0);
+    simulator->run_for(6.0);
+  }
+  EXPECT_LT(event->total_alive(), 70U);
+  for (ProcessId pid = 0; pid < 100; ++pid) {
+    EXPECT_EQ(event->group().alive(pid), net->group().alive(pid)) << pid;
+  }
+}
+
+class AsyncFaultSurfaceTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  [[nodiscard]] std::unique_ptr<Simulator> make(std::size_t n,
+                                                std::uint64_t seed) const {
+    return make_async(GetParam(), n, seed);
+  }
+};
+
+TEST_P(AsyncFaultSurfaceTest, SecondChurnTraceReplacesTheFirst) {
+  auto simulator = make(10, 14);
+  simulator->attach_churn(
+      ChurnTrace::from_events({ChurnEvent{0.2, 2, false}}), 10.0);
+  simulator->attach_churn(
+      ChurnTrace::from_events({ChurnEvent{0.2, 5, false}}), 10.0);
+  simulator->run_for(5.0);
+  EXPECT_TRUE(simulator->group().alive(2));
+  EXPECT_FALSE(simulator->group().alive(5));
+  EXPECT_EQ(simulator->total_alive(), 9U);
+}
+
+TEST_P(AsyncFaultSurfaceTest, CrashRecoveryReconfiguresWithoutStacking) {
+  auto simulator = make(200, 16);
+  simulator->set_crash_recovery(0.3, 0.0);  // crash-stop
+  simulator->run_for(3.0);
+  simulator->set_crash_recovery(0.0, 0.0);  // disarm: crashes stop
+  const std::size_t frozen = simulator->total_alive();
+  EXPECT_LT(frozen, 200U);
+  simulator->run_for(3.0);
+  EXPECT_EQ(simulator->total_alive(), frozen);
+  // Re-arming three times supersedes the chain instead of stacking it:
+  // the population decays at one 30%/period rate, not three.
+  for (int k = 0; k < 3; ++k) simulator->set_crash_recovery(0.3, 0.0);
+  simulator->run_for(4.0);
+  const double expected = static_cast<double>(frozen) * 0.7 * 0.7 * 0.7 * 0.7;
+  EXPECT_GT(static_cast<double>(simulator->total_alive()), 0.35 * expected);
+  EXPECT_LT(simulator->total_alive(), frozen);
+}
+
+TEST_P(AsyncFaultSurfaceTest, ScheduleCrashIgnoresOutOfRangePid) {
+  auto simulator = make(10, 18);
+  simulator->schedule_crash(10, 1.0, /*recover_time=*/2.0);
+  simulator->schedule_crash(1000, 1.0);
+  simulator->run_for(3.0);
+  EXPECT_EQ(simulator->total_alive(), 10U);
+}
+
+TEST_P(AsyncFaultSurfaceTest, BadFaultArgumentsThrow) {
+  auto simulator = make(10, 19);
+  EXPECT_THROW(simulator->schedule_massive_failure(1.0, 1.5),
+               std::invalid_argument);
+  EXPECT_THROW(simulator->schedule_massive_failure(1.0, -0.1),
+               std::invalid_argument);
+  EXPECT_THROW(simulator->set_crash_recovery(2.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(simulator->set_crash_recovery(-0.1, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(simulator->set_crash_recovery(0.1, -1.0),
+               std::invalid_argument);
+  EXPECT_THROW(simulator->attach_churn(ChurnTrace{}, 0.0),
+               std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, AsyncFaultSurfaceTest, ::testing::Values("event", "net"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace deproto::sim
