@@ -68,12 +68,14 @@ void CountSimulator::seed_states(const std::vector<std::size_t>& counts) {
 }
 
 void CountSimulator::schedule_massive_failure(double time, double fraction) {
+  fault_plan::validate_fault_times(time);
   fault_plan::validate_failure_fraction(fraction);
   failures_.push_back(PendingFailure{MassiveFailure{time, fraction}, false});
 }
 
 void CountSimulator::schedule_crash(ProcessId pid, double time,
                                     double recover_time) {
+  fault_plan::validate_fault_times(time, recover_time);
   // Same scheduling machinery as the sync backend; the host id only
   // bounds-checks at apply time (the victim is anonymous).
   crashes_.push_back(ChurnEvent{time, pid, false});

@@ -1,6 +1,5 @@
 #include "sim/event_sim.hpp"
 
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -78,41 +77,6 @@ void EventSimulator::route_token_walk(std::size_t token_state,
   });
 }
 
-void EventSimulator::probe_all(
-    ProcessId pid, std::size_t count,
-    std::function<void(const core::ProbeReplies&)> done) {
-  if (count == 0) {
-    done({});
-    return;
-  }
-  struct Pending {
-    core::ProbeReplies replies;
-    std::function<void(const core::ProbeReplies&)> done;
-  };
-  auto pending = std::make_shared<Pending>(Pending{{}, std::move(done)});
-  pending->replies.reserve(count);
-  const auto finish = [pending, count](std::optional<std::size_t> state) {
-    pending->replies.push_back(state);
-    if (pending->replies.size() == count) pending->done(pending->replies);
-  };
-  for (std::size_t k = 0; k < count; ++k) {
-    const ProcessId target = group_.random_target(pid, rng_);
-    network_.send(
-        [this, target, finish] {
-          // The reply carries the target's state at response time; a
-          // crashed target never answers, which reads as a lost reply.
-          const std::optional<std::size_t> remote = group_.live_state(target);
-          if (!remote) {
-            finish(std::nullopt);
-            return;
-          }
-          network_.send([finish, remote] { finish(remote); },
-                        [finish] { finish(std::nullopt); });
-        },
-        [finish] { finish(std::nullopt); });
-  }
-}
-
 void EventSimulator::run_action(ProcessId pid, const core::Action& action) {
   std::visit(
       [&](const auto& a) {
@@ -131,17 +95,69 @@ void EventSimulator::run_action(ProcessId pid, const core::Action& action) {
           }
         } else {
           // A probing action: ask, then decide once every reply is in.
-          auto decide = [this, pid, &action, &a](const core::ProbeReplies& r) {
-            const std::optional<std::size_t> self = group_.live_state(pid);
-            if (!core::probe_rule(action, self, r).fires) return;
-            if (!rng_.bernoulli(a.coin_bias)) return;
-            if constexpr (std::is_same_v<T, core::TokenizingAction>) {
-              route_token(a.token_state, a.to_state);
-            } else {
-              group_.transition(pid, a.to_state);
-            }
-          };
-          probe_all(pid, core::probe_rule(action).probes, std::move(decide));
+          const std::size_t probes = core::probe_rule(action).probes;
+          if (probes == 0) {
+            decide(pid, action, {});
+            return;
+          }
+          std::uint32_t w = 0;
+          if (free_waits_.empty()) {
+            w = static_cast<std::uint32_t>(waits_.size());
+            waits_.emplace_back();
+          } else {
+            w = free_waits_.back();
+            free_waits_.pop_back();
+          }
+          ProbeWait& wait = waits_[w];
+          wait.pid = pid;
+          wait.action = &action;
+          wait.expected = probes;
+          wait.replies.clear();
+          for (std::size_t k = 0; k < probes; ++k) {
+            const ProcessId target = group_.random_target(pid, rng_);
+            network_.send([this, w, target] { on_probe(w, target); },
+                          [this, w] { on_reply(w, std::nullopt); });
+          }
+        }
+      },
+      action);
+}
+
+void EventSimulator::on_probe(std::uint32_t w, ProcessId target) {
+  // The reply carries the target's state at response time; a crashed
+  // target never answers, which reads as a lost reply.
+  const std::optional<std::size_t> remote = group_.live_state(target);
+  if (!remote) {
+    on_reply(w, std::nullopt);
+    return;
+  }
+  network_.send([this, w, remote] { on_reply(w, remote); },
+                [this, w] { on_reply(w, std::nullopt); });
+}
+
+void EventSimulator::on_reply(std::uint32_t w,
+                              std::optional<std::size_t> state) {
+  ProbeWait& wait = waits_[w];
+  wait.replies.push_back(state);
+  if (wait.replies.size() < wait.expected) return;
+  // decide() only sends messages, so `wait` stays put until it is freed.
+  decide(wait.pid, *wait.action, wait.replies);
+  free_waits_.push_back(w);
+}
+
+void EventSimulator::decide(
+    ProcessId pid, const core::Action& action,
+    std::span<const std::optional<std::size_t>> replies) {
+  const std::optional<std::size_t> self = group_.live_state(pid);
+  if (!core::probe_rule(action, self, replies).fires) return;
+  std::visit(
+      [&](const auto& a) {
+        if (!rng_.bernoulli(a.coin_bias)) return;
+        if constexpr (std::is_same_v<std::decay_t<decltype(a)>,
+                                     core::TokenizingAction>) {
+          route_token(a.token_state, a.to_state);
+        } else {
+          group_.transition(pid, a.to_state);
         }
       },
       action);

@@ -13,7 +13,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/state_machine.hpp"
@@ -93,11 +94,27 @@ class EventSimulator final : public Simulator {
   void arm_timer(ProcessId pid);
   void on_tick(ProcessId pid, std::uint64_t epoch);
   void run_action(ProcessId pid, const core::Action& action);
-  void probe_all(ProcessId pid, std::size_t count,
-                 std::function<void(const core::ProbeReplies&)> done);
+  // A probing action's round trip: the request reaches `target` (which
+  // answers with its live state, if any), each reply or loss lands in
+  // wait `w`, and the last one decides.
+  void on_probe(std::uint32_t w, ProcessId target);
+  void on_reply(std::uint32_t w, std::optional<std::size_t> state);
+  void decide(ProcessId pid, const core::Action& action,
+              std::span<const std::optional<std::size_t>> replies);
   void route_token(std::size_t token_state, std::size_t to_state);
   void route_token_walk(std::size_t token_state, std::size_t to_state,
                         unsigned ttl_left);
+
+  /// One probing action awaiting its replies. Records are pooled (free
+  /// list below) and keep their replies' capacity across reuse, so the
+  /// probe path does not allocate in steady state; queued closures carry
+  /// the record's index.
+  struct ProbeWait {
+    ProcessId pid = 0;
+    const core::Action* action = nullptr;
+    std::size_t expected = 0;
+    core::ProbeReplies replies;
+  };
 
   core::ProtocolStateMachine machine_;
   EventSimOptions options_;
@@ -111,6 +128,8 @@ class EventSimulator final : public Simulator {
   // Guards against stale timers: bumped on every crash, so a tick armed
   // before the crash is ignored even if the process recovered meanwhile.
   std::vector<std::uint64_t> timer_epoch_;
+  std::vector<ProbeWait> waits_;
+  std::vector<std::uint32_t> free_waits_;
   double next_sample_ = 0.0;
 };
 

@@ -21,6 +21,15 @@ void validate_crash_recovery(double crash_prob,
   }
 }
 
+void validate_fault_times(double time, double recover_time) {
+  if (!std::isfinite(time)) {
+    throw std::invalid_argument("fault plan: non-finite fault time");
+  }
+  if (!(recover_time < 0.0) && !std::isfinite(recover_time)) {
+    throw std::invalid_argument("fault plan: non-finite recover time");
+  }
+}
+
 void validate_periods_per_hour(double periods_per_hour) {
   if (!(periods_per_hour > 0.0)) {
     throw std::invalid_argument("attach_churn: bad periods_per_hour");
@@ -71,6 +80,7 @@ void Scheduler::recover(ProcessId pid) {
 }
 
 void Scheduler::schedule_massive_failure(double time, double fraction) {
+  validate_fault_times(time);
   validate_failure_fraction(fraction);
   queue_.schedule(std::max(time, queue_.now()), [this, fraction] {
     const std::size_t victims =
@@ -83,6 +93,7 @@ void Scheduler::schedule_massive_failure(double time, double fraction) {
 
 void Scheduler::schedule_crash(ProcessId pid, double time,
                                double recover_time) {
+  validate_fault_times(time, recover_time);
   if (pid >= group_.size()) return;  // ignored, like the sync backend
   queue_.schedule(std::max(time, queue_.now()), [this, pid] { crash(pid); });
   if (recover_time >= 0.0) {

@@ -25,6 +25,11 @@ void validate_failure_fraction(double fraction);
 /// mean downtime is non-negative.
 void validate_crash_recovery(double crash_prob, double mean_downtime_periods);
 
+/// Throws std::invalid_argument unless a fault's `time` is finite and its
+/// `recover_time` is finite or negative (negative means no recovery, so
+/// -inf passes; NaN and +inf do not). Massive failures pass only `time`.
+void validate_fault_times(double time, double recover_time = -1.0);
+
 /// Throws std::invalid_argument unless periods_per_hour is positive.
 void validate_periods_per_hour(double periods_per_hour);
 

@@ -15,8 +15,7 @@ Network::Network(EventQueue& queue, Rng& rng, NetworkOptions options)
   }
 }
 
-void Network::send(std::function<void()> on_deliver,
-                   std::function<void()> on_lost) {
+void Network::send(Task on_deliver, Task on_lost) {
   ++sent_;
   const double latency =
       rng_.uniform(options_.latency_min, options_.latency_max);

@@ -5,7 +5,6 @@
 // protocol-period units.
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -25,8 +24,7 @@ class Network {
   /// Send a message: `on_deliver` runs after a random latency unless the
   /// message is dropped, in which case `on_lost` (if provided) runs at the
   /// same moment the delivery would have happened (a timeout surrogate).
-  void send(std::function<void()> on_deliver,
-            std::function<void()> on_lost = nullptr);
+  void send(Task on_deliver, Task on_lost = {});
 
   [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }

@@ -16,12 +16,14 @@ SyncSimulator::SyncSimulator(std::size_t n, PeriodicProtocol& protocol,
       metrics_(protocol.num_states()) {}
 
 void SyncSimulator::schedule_massive_failure(double time, double fraction) {
+  fault_plan::validate_fault_times(time);
   fault_plan::validate_failure_fraction(fraction);
   failures_.push_back(PendingFailure{MassiveFailure{time, fraction}, false});
 }
 
 void SyncSimulator::schedule_crash(ProcessId pid, double time,
                                    double recover_time) {
+  fault_plan::validate_fault_times(time, recover_time);
   // Reuses the churn playback machinery: a targeted crash is a one-host
   // departure (plus optional rejoin), already expressed in periods.
   crashes_.push_back(ChurnEvent{time, pid, false});

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "core/synthesis.hpp"
 #include "net/net_sim.hpp"
 #include "ode/catalog.hpp"
+#include "sim/count_sim.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/runtime.hpp"
 #include "sim/sync_sim.hpp"
@@ -250,6 +253,35 @@ TEST(SimulatorInterfaceTest, EventValidatesFaultArguments) {
                std::invalid_argument);
   ChurnTrace trace;
   EXPECT_THROW(simulator.attach_churn(trace, 0.0), std::invalid_argument);
+}
+
+TEST(SimulatorInterfaceTest, EveryBackendRejectsNonFiniteFaultTimes) {
+  // A NaN time would otherwise reach the fault queues' comparators
+  // (strict weak ordering broken); a negative recover time, -inf
+  // included, still means "never recover".
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  FlipProtocol protocol(0.0);
+  SyncSimulator sync(10, protocol, 1);
+  EventSimulator event(10, frozen_machine(), 1);
+  CountSimulator count(10, frozen_machine(), 1);
+  for (Simulator* simulator :
+       {static_cast<Simulator*>(&sync), static_cast<Simulator*>(&event),
+        static_cast<Simulator*>(&count)}) {
+    EXPECT_THROW(simulator->schedule_massive_failure(kNaN, 0.5),
+                 std::invalid_argument);
+    EXPECT_THROW(simulator->schedule_massive_failure(kInf, 0.5),
+                 std::invalid_argument);
+    EXPECT_THROW(simulator->schedule_crash(0, kNaN), std::invalid_argument);
+    EXPECT_THROW(simulator->schedule_crash(0, -kInf), std::invalid_argument);
+    EXPECT_THROW(simulator->schedule_crash(0, 1.0, kNaN),
+                 std::invalid_argument);
+    EXPECT_THROW(simulator->schedule_crash(0, 1.0, kInf),
+                 std::invalid_argument);
+    simulator->schedule_crash(0, 1.0, -kInf);  // crash-stop
+    simulator->run_for(3.0);
+    EXPECT_EQ(simulator->total_alive(), 9U);
+  }
 }
 
 TEST(SimulatorInterfaceTest, RunForAdvancesNow) {
