@@ -316,9 +316,9 @@ std::vector<SweepSpec> build_sweep_registry() {
   std::vector<SweepSpec> sweeps;
 
   {
-    // Figure 7: analysis accuracy vs N. Seeds zipped with N (seed 7 + N,
-    // matching the historical bench wiring) so each point is its own
-    // independent run of the b = 2 endemic system.
+    // Figure 7: analysis accuracy vs N. Seeds zipped with N (seed 7 + N)
+    // so each point is its own independent run of the b = 2 endemic
+    // system.
     SweepSpec sweep;
     sweep.name = "fig7-accuracy-vs-n";
     sweep.description =

@@ -91,6 +91,10 @@ void MetricsCollector::set_sample_sink(
   sink_ = std::move(sink);
 }
 
+namespace {
+
+/// Summary statistics over a value window (consumes and sorts the vector):
+/// the shared implementation behind summarize_state / summarize_flux.
 WindowSummary summarize_window(std::vector<double> values) {
   WindowSummary s;
   if (values.empty()) return s;
@@ -105,6 +109,8 @@ WindowSummary summarize_window(std::vector<double> values) {
   s.mean = sum / static_cast<double>(n);
   return s;
 }
+
+}  // namespace
 
 WindowSummary MetricsCollector::summarize_state(std::size_t state,
                                                 std::size_t first,

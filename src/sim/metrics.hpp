@@ -30,13 +30,6 @@ struct WindowSummary {
   double mean = 0.0;
 };
 
-/// Summary statistics over an arbitrary value window (consumes and sorts
-/// the vector). The shared implementation behind summarize_state /
-/// summarize_flux, public so series-based consumers (e.g. sweep results,
-/// which carry populations without a live MetricsCollector) use the same
-/// median/min/max conventions.
-[[nodiscard]] WindowSummary summarize_window(std::vector<double> values);
-
 class MetricsCollector {
  public:
   explicit MetricsCollector(std::size_t num_states);

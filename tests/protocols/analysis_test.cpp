@@ -12,6 +12,8 @@ namespace {
 const EndemicParams kFig5{.b = 2, .gamma = 1e-3, .alpha = 1e-6};
 // Figures 7/8 parameters.
 const EndemicParams kFig7{.b = 2, .gamma = 0.1, .alpha = 0.001};
+// Figures 9/10 (churn) parameters.
+const EndemicParams kFig9{.b = 32, .gamma = 0.1, .alpha = 0.005};
 
 TEST(EndemicAnalysisTest, BetaDoublesWithPush) {
   EXPECT_DOUBLE_EQ(endemic_beta(kFig5), 4.0);
@@ -49,7 +51,7 @@ TEST(EndemicAnalysisTest, RequiresBetaAboveGamma) {
 }
 
 TEST(EndemicAnalysisTest, StabilityAlwaysHolds) {
-  for (const EndemicParams& params : {kFig5, kFig7}) {
+  for (const EndemicParams& params : {kFig5, kFig7, kFig9}) {
     const num::StabilityReport r = endemic_stability(params);
     EXPECT_LT(r.trace, 0.0);
     EXPECT_GT(r.determinant, 0.0);

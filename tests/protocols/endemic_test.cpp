@@ -124,6 +124,13 @@ TEST(EndemicTest, MassiveFailureHalvesStashersNotReceptives) {
   const EndemicExpectation expected = endemic_expectation(n, protocol.params());
   EXPECT_NEAR(receptive_after.median, expected.receptives,
               0.3 * expected.receptives);
+  // Figure 6: the file flux follows the halved stash population (gamma * Y)
+  // instead of spiking after the failure.
+  const auto flux_after = simulator.metrics().summarize_flux(
+      EndemicReplication::kReceptive, EndemicReplication::kStash, 500, 800);
+  const double gamma = protocol.params().gamma;
+  EXPECT_NEAR(flux_after.mean, gamma * stash_after.median,
+              0.3 * gamma * stash_after.median);
 }
 
 TEST(EndemicTest, PushDisabledStillConvergesButSlower) {
@@ -141,19 +148,39 @@ TEST(EndemicTest, PushDisabledStillConvergesButSlower) {
                 sim_push.group().count(EndemicReplication::kAverse),
             sim_nopush.group().count(EndemicReplication::kStash) +
                 sim_nopush.group().count(EndemicReplication::kAverse));
+
+  // Pull-only at b = 4 has the contact rate beta = 4 of push+pull at b = 2,
+  // so it converges to the same eq. (2) population.
+  EndemicReplication pull_only(
+      {.b = 4, .gamma = 0.1, .alpha = 0.01, .push_enabled = false});
+  sim::SyncSimulator sim_pull(2000, pull_only, 6);
+  sim_pull.seed_states({1000, 1000, 0});
+  sim_pull.run(1000);
+  const auto stash = sim_pull.metrics().summarize_state(
+      EndemicReplication::kStash, 500, 1000);
+  const EndemicExpectation expected =
+      endemic_expectation(2000, with_push.params());
+  ASSERT_DOUBLE_EQ(endemic_expectation(2000, pull_only.params()).stashers,
+                   expected.stashers);
+  EXPECT_NEAR(stash.median, expected.stashers, 0.15 * expected.stashers);
 }
 
 TEST(EndemicTest, FluxMatchesGammaTimesStashers) {
-  // At equilibrium, receptive->stash transfers per period ~= gamma * Y.
-  EndemicReplication protocol({.b = 2, .gamma = 0.1, .alpha = 0.001});
-  auto simulator = at_equilibrium(20000, protocol, 7);
-  simulator.run(500);
-  const auto flux = simulator.metrics().summarize_flux(
-      EndemicReplication::kReceptive, EndemicReplication::kStash, 100, 500);
-  const EndemicExpectation expected =
-      endemic_expectation(20000, protocol.params());
-  EXPECT_NEAR(flux.mean, protocol.params().gamma * expected.stashers,
-              0.3 * protocol.params().gamma * expected.stashers);
+  // At equilibrium, receptive->stash transfers per period ~= gamma * Y,
+  // whatever the averse dwell time 1/alpha: alpha -> 1 degenerates toward
+  // a 2-state protocol, and the transfer cost per replica stays gamma.
+  for (const double alpha : {0.001, 0.5}) {
+    EndemicReplication protocol({.b = 2, .gamma = 0.1, .alpha = alpha});
+    auto simulator = at_equilibrium(20000, protocol, 7);
+    simulator.run(500);
+    const auto flux = simulator.metrics().summarize_flux(
+        EndemicReplication::kReceptive, EndemicReplication::kStash, 100, 500);
+    const EndemicExpectation expected =
+        endemic_expectation(20000, protocol.params());
+    EXPECT_NEAR(flux.mean, protocol.params().gamma * expected.stashers,
+                0.3 * protocol.params().gamma * expected.stashers)
+        << "alpha " << alpha;
+  }
 }
 
 TEST(EndemicTest, ChurnResistance) {
