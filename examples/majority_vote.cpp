@@ -9,41 +9,57 @@
 // system (eq. 7) by the api::Experiment facade; because the vote is
 // convergence-driven (run until unanimous, then keep running), the example
 // uses Experiment::launch() and steps the returned run by hand instead of
-// the one-shot Experiment::run().
+// the one-shot Experiment::run(). A replica proposing version A sits in
+// state x, version B in state y, and an undecided one in state z.
 //
 // Build & run:  ./examples/majority_vote
 
 #include <cstdio>
 
 #include "api/experiment.hpp"
-#include "protocols/lv_majority.hpp"
 
 namespace {
 
-const char* decision_name(deproto::proto::LvMajority::Decision d) {
-  using D = deproto::proto::LvMajority::Decision;
-  switch (d) {
-    case D::Zero: return "version A";
-    case D::One: return "version B";
-    default: return "undecided";
-  }
+using deproto::sim::Group;
+
+/// The synthesized machine's state ids for x (version A), y (version B)
+/// and z (undecided).
+struct Votes {
+  std::size_t a = 0;
+  std::size_t b = 0;
+  std::size_t undecided = 0;
+};
+
+/// True when every alive replica holds the same version.
+bool converged(const Group& group, const Votes& v) {
+  const std::size_t alive = group.total_alive();
+  return alive > 0 && (group.count(v.a) == alive || group.count(v.b) == alive);
 }
 
-void report(const deproto::sim::Group& group, std::size_t period) {
-  using LV = deproto::proto::LvMajority;
-  std::printf("%8zu %12zu %12zu %12zu  %s\n", period, group.count(LV::kX),
-              group.count(LV::kY), group.count(LV::kZ),
-              LV::converged(group)
-                  ? (LV::winner(group) == 0 ? "<- agreed on version A"
-                                            : "<- agreed on version B")
-                  : "");
+/// A replica's running decision variable, readable at any moment.
+const char* decision_name(const Group& group, const Votes& v,
+                          deproto::sim::ProcessId pid) {
+  const std::size_t state = group.state_of(pid);
+  if (state == v.a) return "version A";
+  if (state == v.b) return "version B";
+  return "undecided";
+}
+
+void report(const Group& group, const Votes& v, std::size_t period) {
+  const char* verdict = "";
+  if (converged(group, v)) {
+    verdict = group.count(v.a) == group.total_alive()
+                  ? "<- agreed on version A"
+                  : "<- agreed on version B";
+  }
+  std::printf("%8zu %12zu %12zu %12zu  %s\n", period, group.count(v.a),
+              group.count(v.b), group.count(v.undecided), verdict);
 }
 
 }  // namespace
 
 int main() {
   using namespace deproto;
-  using LV = proto::LvMajority;
   constexpr std::size_t kN = 20000;
 
   // The LV majority scenario: eq. (7) synthesized at p = 0.05, a 55%/45%
@@ -59,22 +75,26 @@ int main() {
   spec.faults.massive_failures.push_back(sim::MassiveFailure{20, 0.3});
 
   api::Experiment experiment(spec);
+  const core::ProtocolStateMachine& machine =
+      experiment.artifacts().synthesis.machine;
+  const Votes v{*machine.state_index("x"), *machine.state_index("y"),
+                *machine.state_index("z")};
   api::ExperimentRun run = experiment.launch();
 
   std::printf("phase 1: 55%%/45%% split, plus a 30%% crash at period 20\n");
   std::printf("%8s %12s %12s %12s\n", "period", "version A", "version B",
               "undecided");
   std::size_t period = 0;
-  while (!LV::converged(run.group()) && period < 5000) {
-    if (period % 20 == 0) report(run.group(), period);
+  while (!converged(run.group(), v) && period < 5000) {
+    if (period % 20 == 0) report(run.group(), v, period);
     run.advance(10);
     period += 10;
   }
-  report(run.group(), period);
+  report(run.group(), v, period);
 
   // A host can read its running decision variable at any moment:
   std::printf("\nhost 17's decision variable: %s\n\n",
-              decision_name(LV::decision_of(run.group(), 17)));
+              decision_name(run.group(), v, 17));
 
   // Phase 2: a new document version lands on 70% of the (alive) replicas.
   // Because the protocol runs forever, it simply re-converges -- the
@@ -86,22 +106,23 @@ int main() {
     std::size_t flipped = 0;
     const std::size_t target = group.total_alive() * 7 / 10;
     for (sim::ProcessId pid = 0; pid < kN && flipped < target; ++pid) {
-      if (group.alive(pid) && group.state_of(pid) != LV::kY) {
-        group.transition(pid, LV::kY);
+      if (group.alive(pid) && group.state_of(pid) != v.b) {
+        group.transition(pid, v.b);
         ++flipped;
       }
     }
   }
   period = 0;
-  while (!LV::converged(run.group()) && period < 5000) {
-    if (period % 20 == 0) report(run.group(), period);
+  while (!converged(run.group(), v) && period < 5000) {
+    if (period % 20 == 0) report(run.group(), v, period);
     run.advance(10);
     period += 10;
   }
-  report(run.group(), period);
+  report(run.group(), v, period);
 
+  const bool b_won = converged(run.group(), v) && run.group().count(v.a) == 0;
   std::printf("\nfinal agreement: %s (initial majority of the second "
               "round)\n",
-              LV::winner(run.group()) == 1 ? "version B" : "version A");
-  return LV::winner(run.group()) == 1 ? 0 : 1;
+              b_won ? "version B" : "version A");
+  return b_won ? 0 : 1;
 }

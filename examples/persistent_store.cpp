@@ -30,11 +30,11 @@
 #include <string>
 #include <vector>
 
+#include "core/closed_form.hpp"
 #include "core/synthesis.hpp"
 #include "net/net_sim.hpp"
 #include "net/socket.hpp"
 #include "ode/catalog.hpp"
-#include "protocols/analysis.hpp"
 
 namespace {
 
@@ -43,17 +43,17 @@ using namespace deproto;
 constexpr std::size_t kHosts = 64;
 constexpr std::size_t kStash = 1;  // machine state y = stashing the file
 constexpr const char* kFileName = "alpha.dat";
-// b = 4 contacts per period -> beta = 2b in the ODE parameterization.
-constexpr proto::EndemicParams kParams{.b = 4, .gamma = 0.1, .alpha = 0.02};
+// The eq. (1) rates the store's machine is synthesized from.
+constexpr core::EndemicRates kRates{.beta = 8.0, .gamma = 0.1, .alpha = 0.02};
 
 /// The store server: endemic replication over kHosts real UDP sockets,
 /// plus one more socket for client queries. Announces "PORT <p>\n" on
 /// `announce_fd`, runs at least 60 protocol periods (so the mid-run
 /// attack and the recovery after it are both visible), at most 120.
 int run_server(int announce_fd) {
-  const auto expected = proto::endemic_expectation(kHosts, kParams);
-  const auto synth = core::synthesize(ode::catalog::endemic(
-      2.0 * kParams.b, kParams.gamma, kParams.alpha));
+  const auto expected = core::endemic_expectation(kHosts, kRates);
+  const auto synth = core::synthesize(
+      ode::catalog::endemic(kRates.beta, kRates.gamma, kRates.alpha));
 
   net::NetSimOptions options;
   options.period_ms = 25.0;
@@ -123,7 +123,7 @@ int run_server(int announce_fd) {
 
   const std::size_t replicas = store.group().count(kStash);
   const net::NetStats stats = store.net_stats();
-  const auto rc = proto::reality_check(kHosts, kParams, 6.0, 88.2);
+  const auto rc = core::reality_check(kHosts, kRates, 6.0, 88.2);
   std::printf("server: %s %s with %zu replicas on %zu alive hosts\n"
               "server: %llu datagrams, rtt mean %.3f ms, %llu client "
               "queries served\n"

@@ -85,26 +85,6 @@ ProbeRule probe_rule(const Action& action, std::optional<std::size_t> executor,
       action);
 }
 
-unsigned term_occurrences(const Action& action) {
-  return std::visit(
-      [](const auto& a) -> unsigned {
-        using T = std::decay_t<decltype(a)>;
-        if constexpr (std::is_same_v<T, FlippingAction>) {
-          return 1;
-        } else if constexpr (std::is_same_v<T, SamplingAction>) {
-          return static_cast<unsigned>(1 + a.same_state_samples +
-                                       a.target_states.size());
-        } else if constexpr (std::is_same_v<T, TokenizingAction>) {
-          return static_cast<unsigned>(1 + a.same_state_samples +
-                                       a.target_states.size());
-        } else if constexpr (std::is_same_v<T, PushAction> ||
-                             std::is_same_v<T, AnyOfSamplingAction>) {
-          return 2;  // the bilinear contact term x*y
-        }
-      },
-      action);
-}
-
 std::string to_string(const Action& action,
                       std::span<const std::string> states) {
   std::ostringstream out;

@@ -124,9 +124,6 @@ struct ProbeRule {
     const Action& action, std::optional<std::size_t> executor = std::nullopt,
     std::span<const std::optional<std::size_t>> replies = {});
 
-/// |T|: total variable occurrences of the source term (failure factor input).
-[[nodiscard]] unsigned term_occurrences(const Action& action);
-
 /// Human-readable one-line description given state names.
 [[nodiscard]] std::string to_string(const Action& action,
                                     std::span<const std::string> states);

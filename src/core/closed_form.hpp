@@ -3,20 +3,25 @@
 // Closed-form results from Sections 4.1.3, 4.2.2 and 5.1: endemic
 // equilibria (eq. 2), the sigma/tau/Delta stability quantities (eq. 5), the
 // three eigenvalue cases, replica-longevity and reality-check estimates,
-// and the LV convergence complexity. All formulas are in *fraction*
-// notation (variables are fractions of N; beta is the per-period contact
-// rate, = 2b with the push action enabled).
+// and the LV convergence complexity: the analytic side that the mean-field
+// checks (core/mean_field.hpp) and the simulations are compared against.
+// All formulas are in *fraction* notation (variables are fractions of N).
 
 #include <cstddef>
 
 #include "numerics/linearization.hpp"
-#include "protocols/endemic_replication.hpp"
 
-namespace deproto::proto {
+namespace deproto::core {
 
-/// Effective contact rate beta of the endemic protocol: 2b with the push
-/// action (Section 4.1.2: N(1-(1-b/N)^2) ~= 2b), b with pull only.
-[[nodiscard]] double endemic_beta(const EndemicParams& params);
+/// The rates of eq. (1), in the order ode::catalog::endemic and a spec's
+/// source.params take them. beta is the per-period contact rate; the
+/// Figure 1 push-pull machine realizes it with b = beta/2 contacts each
+/// way (Section 4.1.2: N(1-(1-b/N)^2) ~= 2b).
+struct EndemicRates {
+  double beta = 4.0;     // receptive -> stash contact rate
+  double gamma = 0.1;    // stash -> averse rate (replica deletion)
+  double alpha = 0.001;  // averse -> receptive rate
+};
 
 struct EndemicEquilibrium {
   double x = 0.0;  // receptive fraction  = gamma / beta
@@ -25,19 +30,17 @@ struct EndemicEquilibrium {
 };
 
 /// The second (non-trivial) equilibrium of eq. (2). Requires beta > gamma.
-[[nodiscard]] EndemicEquilibrium endemic_equilibrium(
-    const EndemicParams& params);
+[[nodiscard]] EndemicEquilibrium endemic_equilibrium(const EndemicRates& rates);
 
 /// sigma = (beta - gamma) / (1 + gamma/alpha)  (eq. 4 quantities).
-[[nodiscard]] double endemic_sigma(const EndemicParams& params);
+[[nodiscard]] double endemic_sigma(const EndemicRates& rates);
 
 /// Stability of the second equilibrium via matrix A (Theorem 3: always a
 /// stable point when alpha, gamma > 0 and beta > gamma).
-[[nodiscard]] num::StabilityReport endemic_stability(
-    const EndemicParams& params);
+[[nodiscard]] num::StabilityReport endemic_stability(const EndemicRates& rates);
 
 /// Which of the three eigenvalue cases of Section 4.1.3 applies.
-[[nodiscard]] num::EigenCase endemic_eigen_case(const EndemicParams& params);
+[[nodiscard]] num::EigenCase endemic_eigen_case(const EndemicRates& rates);
 
 /// Expected number of processes per state at equilibrium in a group of n.
 struct EndemicExpectation {
@@ -46,7 +49,7 @@ struct EndemicExpectation {
   double averse = 0.0;
 };
 [[nodiscard]] EndemicExpectation endemic_expectation(
-    std::size_t n, const EndemicParams& params);
+    std::size_t n, const EndemicRates& rates);
 
 /// Probability that all y_inf stashers die before creating a new stasher:
 /// (1/2)^{y_inf} (Section 4.1.3, probabilistic safety).
@@ -60,7 +63,7 @@ struct EndemicExpectation {
 /// Seconds between consecutive new-stasher creations at equilibrium:
 /// creations per period = gamma * y_inf * n.
 [[nodiscard]] double stasher_creation_interval_seconds(
-    std::size_t n, const EndemicParams& params, double period_seconds);
+    std::size_t n, const EndemicRates& rates, double period_seconds);
 
 /// Section 5.1 "Reality check" quantities for one file in a group of n.
 struct RealityCheck {
@@ -72,7 +75,7 @@ struct RealityCheck {
   double bandwidth_bps = 0.0;     // per host per file; counts both endpoints
 };
 [[nodiscard]] RealityCheck reality_check(std::size_t n,
-                                         const EndemicParams& params,
+                                         const EndemicRates& rates,
                                          double period_minutes,
                                          double file_kilobytes);
 
@@ -99,4 +102,4 @@ struct LvConvergence {
 [[nodiscard]] double lv_periods_to_one_process(std::size_t n, double u0,
                                                double p);
 
-}  // namespace deproto::proto
+}  // namespace deproto::core

@@ -1,53 +1,16 @@
 #include "core/failure_compensation.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace deproto::core {
 
-double failure_factor(unsigned term_occurrences, double f) {
+double failure_factor(unsigned occurrences, double f) {
   if (!(f >= 0.0 && f < 1.0)) {
     throw std::invalid_argument("failure_factor: f must lie in [0, 1)");
   }
-  if (term_occurrences <= 1) return 1.0;
-  return std::pow(1.0 / (1.0 - f),
-                  static_cast<double>(term_occurrences - 1));
-}
-
-ProtocolStateMachine compensate_for_failures(
-    const ProtocolStateMachine& machine, double f) {
-  std::vector<Action> actions = machine.actions();
-
-  // Multiply sampling-type biases by the failure factor.
-  for (Action& action : actions) {
-    const double ff = failure_factor(term_occurrences(action), f);
-    std::visit(
-        [ff](auto& a) {
-          using T = std::decay_t<decltype(a)>;
-          if constexpr (!std::is_same_v<T, FlippingAction>) {
-            a.coin_bias *= ff;
-          }
-        },
-        action);
-  }
-
-  // Renormalize if any bias exceeds 1.
-  double max_bias = 0.0;
-  for (const Action& action : actions) {
-    std::visit([&](const auto& a) { max_bias = std::max(max_bias, a.coin_bias); },
-               action);
-  }
-  double scale = 1.0;
-  if (max_bias > 1.0) scale = 1.0 / max_bias;
-
-  ProtocolStateMachine out(machine.state_names(),
-                           machine.normalizing_p() * scale);
-  for (Action& action : actions) {
-    std::visit([scale](auto& a) { a.coin_bias *= scale; }, action);
-    out.add_action(std::move(action));
-  }
-  return out;
+  if (occurrences <= 1) return 1.0;
+  return std::pow(1.0 / (1.0 - f), static_cast<double>(occurrences - 1));
 }
 
 }  // namespace deproto::core

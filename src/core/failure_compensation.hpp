@@ -3,21 +3,13 @@
 // Section 3, "The Effect of Failures": with a group-wide failure rate f per
 // connection attempt, every one-time-sampling term T picks up a
 // multiplicative factor (1/(1-f))^{|T|-1} relative to the modeled equation.
-// Compensating multiplies the corresponding coin bias by the same factor
-// (shrinking the system-wide p if any bias would exceed 1).
-
-#include "core/state_machine.hpp"
+// core::synthesize compensates by multiplying the corresponding coin bias
+// by the same factor when SynthesisOptions::failure_rate is set (shrinking
+// the system-wide p if any bias would exceed 1).
 
 namespace deproto::core {
 
 /// (1/(1-f))^{occurrences - 1}. Flipping terms (|T| = 1) get factor 1.
-[[nodiscard]] double failure_factor(unsigned term_occurrences, double f);
-
-/// Return a machine whose sampling-type coin biases are multiplied by the
-/// failure factor for `f`. If any bias would exceed 1, *all* coin biases
-/// (and the machine's p) are scaled down so the largest equals 1 -- the
-/// paper's "the normalizing constant p may need to be reduced".
-[[nodiscard]] ProtocolStateMachine compensate_for_failures(
-    const ProtocolStateMachine& machine, double f);
+[[nodiscard]] double failure_factor(unsigned occurrences, double f);
 
 }  // namespace deproto::core

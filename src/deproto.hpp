@@ -31,15 +31,13 @@
 #include "core/transition_model.hpp"
 #include "core/synthesis.hpp"
 #include "core/mean_field.hpp"
+#include "core/closed_form.hpp"
 #include "core/failure_compensation.hpp"
 #include "core/fluctuations.hpp"
 
-// protocols: the paper's case studies and comparison baselines
-#include "protocols/epidemic.hpp"
-#include "protocols/endemic_replication.hpp"
-#include "protocols/lv_majority.hpp"
+// protocols: the non-ODE baselines the case studies are compared against
+// (the case studies themselves are synthesized by core)
 #include "protocols/baselines.hpp"
-#include "protocols/analysis.hpp"
 
 // sim: synchronous, event-driven, and count-based simulation behind one
 // interface

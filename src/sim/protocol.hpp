@@ -1,8 +1,11 @@
 #pragma once
 
-// The interface every periodic protocol implements, whether hand-written
-// (protocols/) or synthesized-and-interpreted (sim/runtime.hpp). The
-// synchronous simulator drives one execute_period call per protocol period.
+// The interface the synchronous simulator drives, one execute_period call
+// per protocol period. The paper's case studies implement it through
+// MachineExecutor (sim/runtime.hpp), which interprets a machine synthesized
+// from the ODE; the non-ODE baselines of protocols/ implement it by hand.
+// A process that rejoins after churn or crash-recovery enters state 0, as
+// on every other backend.
 
 #include <cstddef>
 
@@ -21,10 +24,6 @@ class PeriodicProtocol {
   /// Execute one protocol period for all alive processes.
   virtual void execute_period(Group& group, Rng& rng,
                               MetricsCollector& metrics) = 0;
-
-  /// State given to a process that rejoins after churn/crash-recovery.
-  /// Default: state 0 (the endemic protocol's "receptive toward all files").
-  [[nodiscard]] virtual std::size_t rejoin_state() const { return 0; }
 
   /// Hook called when a process crashes (e.g. drop stored replicas).
   virtual void on_crash(ProcessId /*pid*/) {}

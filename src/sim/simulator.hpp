@@ -77,8 +77,7 @@ class Simulator {
   virtual void schedule_massive_failure(double time, double fraction) = 0;
 
   /// Crash one process at `time`; if `recover_time` >= 0, revive it then
-  /// into the protocol's rejoin_state(). The protocol's on_crash() hook
-  /// fires at crash time.
+  /// into state 0. The protocol's on_crash() hook fires at crash time.
   virtual void schedule_crash(ProcessId pid, double time,
                               double recover_time = -1.0) = 0;
 
@@ -93,10 +92,9 @@ class Simulator {
 
   /// Play back a churn trace; `periods_per_hour` converts trace hours to
   /// protocol periods (the paper: 6-minute periods => 10 periods/hour).
-  /// Departed hosts fire on_crash(); rejoining hosts enter the protocol's
-  /// rejoin_state(). Attaching a new trace replaces any previously
-  /// attached one. Throws std::invalid_argument unless
-  /// periods_per_hour > 0.
+  /// Departed hosts fire on_crash(); rejoining hosts enter state 0.
+  /// Attaching a new trace replaces any previously attached one. Throws
+  /// std::invalid_argument unless periods_per_hour > 0.
   virtual void attach_churn(const ChurnTrace& trace,
                             double periods_per_hour) = 0;
 

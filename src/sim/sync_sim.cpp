@@ -68,7 +68,7 @@ void SyncSimulator::apply_churn_until(std::vector<ChurnEvent>& events,
       }
     } else {
       if (!group_.alive(e.host)) {
-        group_.recover(e.host, protocol_.rejoin_state());
+        group_.recover(e.host, 0);
       }
     }
   }
@@ -108,7 +108,7 @@ void SyncSimulator::run(std::size_t periods) {
       const ProcessId pid = recoveries_.top().second;
       recoveries_.pop();
       if (!group_.alive(pid)) {
-        group_.recover(pid, protocol_.rejoin_state());
+        group_.recover(pid, 0);
       }
     }
     if (crash_prob_ > 0.0) {

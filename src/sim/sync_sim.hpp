@@ -55,7 +55,7 @@ class SyncSimulator final : public Simulator {
   void schedule_massive_failure(double time, double fraction) override;
 
   /// Crash `pid` at the start of the first period >= `time`; recovery (if
-  /// requested) enters the protocol's rejoin_state().
+  /// requested) enters state 0.
   void schedule_crash(ProcessId pid, double time,
                       double recover_time = -1.0) override;
 

@@ -31,9 +31,10 @@ TEST(UmbrellaHeaderTest, CoreLayerIsReachable) {
 }
 
 TEST(UmbrellaHeaderTest, ProtocolsLayerIsReachable) {
-  const deproto::proto::LvMajority lv(deproto::proto::LvParams{});
-  EXPECT_EQ(lv.num_states(), 3U);
-  EXPECT_EQ(lv.rejoin_state(), deproto::proto::LvMajority::kZ);
+  const deproto::proto::HandoffMigration handoff(
+      deproto::proto::HandoffParams{});
+  EXPECT_EQ(handoff.num_states(), 2U);
+  EXPECT_EQ(handoff.replicas_lost(), 0U);
 }
 
 TEST(UmbrellaHeaderTest, SimLayerIsReachable) {

@@ -17,13 +17,12 @@ TEST(ActionTest, FlippingBasics) {
   const Action action = a;
   EXPECT_EQ(executor_state(action), 1U);
   EXPECT_EQ(messages_per_period(action), 0U);  // flipping is local
-  EXPECT_EQ(term_occurrences(action), 1U);
   EXPECT_NE(to_string(action, kStates).find("flip"), std::string::npos);
 }
 
 TEST(ActionTest, SamplingMessageCount) {
   // Term -c x^2 y z in f_x: i_x - 1 = 1 same-state samples plus targets
-  // {y, z} => 3 probes per period, |T| = 4.
+  // {y, z} => 3 probes per period.
   SamplingAction a;
   a.from_state = 0;
   a.to_state = 2;
@@ -32,7 +31,6 @@ TEST(ActionTest, SamplingMessageCount) {
   const Action action = a;
   EXPECT_EQ(executor_state(action), 0U);
   EXPECT_EQ(messages_per_period(action), 3U);
-  EXPECT_EQ(term_occurrences(action), 4U);
 }
 
 TEST(ActionTest, TokenizingCountsHandoffMessage) {

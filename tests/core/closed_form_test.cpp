@@ -1,26 +1,23 @@
-#include "protocols/analysis.hpp"
+#include "core/closed_form.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
-namespace deproto::proto {
+#include "ode/catalog.hpp"
+#include "ode/equation_system.hpp"
+
+namespace deproto::core {
 namespace {
 
-// Figure 5 / reality-check parameters: N = 100000, b = 2, gamma = 1e-3,
-// alpha = 1e-6, push enabled (beta = 4).
-const EndemicParams kFig5{.b = 2, .gamma = 1e-3, .alpha = 1e-6};
-// Figures 7/8 parameters.
-const EndemicParams kFig7{.b = 2, .gamma = 0.1, .alpha = 0.001};
-// Figures 9/10 (churn) parameters.
-const EndemicParams kFig9{.b = 32, .gamma = 0.1, .alpha = 0.005};
-
-TEST(EndemicAnalysisTest, BetaDoublesWithPush) {
-  EXPECT_DOUBLE_EQ(endemic_beta(kFig5), 4.0);
-  EndemicParams pull_only = kFig5;
-  pull_only.push_enabled = false;
-  EXPECT_DOUBLE_EQ(endemic_beta(pull_only), 2.0);
-}
+// Figure 5 / reality-check parameters: N = 100000, b = 2 contacts each
+// way, so beta = 2b = 4, gamma = 1e-3, alpha = 1e-6.
+const EndemicRates kFig5{.beta = 4.0, .gamma = 1e-3, .alpha = 1e-6};
+// Figures 7/8 parameters (b = 2).
+const EndemicRates kFig7{.beta = 4.0, .gamma = 0.1, .alpha = 0.001};
+// Figures 9/10 (churn) parameters (b = 32).
+const EndemicRates kFig9{.beta = 64.0, .gamma = 0.1, .alpha = 0.005};
 
 TEST(EndemicAnalysisTest, EquilibriumMatchesEquationTwoAtFig5Params) {
   // Paper: "the number of stashers ~ 100" in a 100,000-host system.
@@ -35,24 +32,35 @@ TEST(EndemicAnalysisTest, EquilibriumMatchesEquationTwoAtFig5Params) {
 
 TEST(EndemicAnalysisTest, EquilibriumIsAFixedPointOfTheOde) {
   const EndemicEquilibrium eq = endemic_equilibrium(kFig7);
-  const double beta = endemic_beta(kFig7);
   // x-dot = -beta x y + alpha z = 0 and friends.
-  EXPECT_NEAR(-beta * eq.x * eq.y + kFig7.alpha * eq.z, 0.0, 1e-15);
-  EXPECT_NEAR(beta * eq.x * eq.y - kFig7.gamma * eq.y, 0.0, 1e-15);
+  EXPECT_NEAR(-kFig7.beta * eq.x * eq.y + kFig7.alpha * eq.z, 0.0, 1e-15);
+  EXPECT_NEAR(kFig7.beta * eq.x * eq.y - kFig7.gamma * eq.y, 0.0, 1e-15);
   EXPECT_NEAR(kFig7.gamma * eq.y - kFig7.alpha * eq.z, 0.0, 1e-15);
 }
 
+TEST(EndemicAnalysisTest, RatesFollowCatalogParameterOrder) {
+  // EndemicRates takes (beta, gamma, alpha) in ode::catalog::endemic's
+  // order, so its equilibrium zeroes the catalog system built from the
+  // same three numbers.
+  const EndemicEquilibrium eq = endemic_equilibrium(kFig7);
+  const ode::EquationSystem sys =
+      ode::catalog::endemic(kFig7.beta, kFig7.gamma, kFig7.alpha);
+  const std::vector<double> point = {eq.x, eq.y, eq.z};
+  std::vector<double> rhs(3);
+  sys.evaluate(point, rhs);
+  for (const double d : rhs) EXPECT_NEAR(d, 0.0, 1e-15);
+}
+
 TEST(EndemicAnalysisTest, RequiresBetaAboveGamma) {
-  // b = 1 pull-only => beta = 1, equal to gamma: only (1, 0, 0) is stable.
+  // beta = 1, equal to gamma: only (1, 0, 0) is stable.
   EXPECT_THROW(
-      (void)endemic_equilibrium({.b = 1, .gamma = 1.0, .alpha = 0.1,
-                                 .push_enabled = false}),
+      (void)endemic_equilibrium({.beta = 1.0, .gamma = 1.0, .alpha = 0.1}),
       std::invalid_argument);
 }
 
 TEST(EndemicAnalysisTest, StabilityAlwaysHolds) {
-  for (const EndemicParams& params : {kFig5, kFig7, kFig9}) {
-    const num::StabilityReport r = endemic_stability(params);
+  for (const EndemicRates& rates : {kFig5, kFig7, kFig9}) {
+    const num::StabilityReport r = endemic_stability(rates);
     EXPECT_LT(r.trace, 0.0);
     EXPECT_GT(r.determinant, 0.0);
     EXPECT_TRUE(r.stable);
@@ -61,7 +69,7 @@ TEST(EndemicAnalysisTest, StabilityAlwaysHolds) {
 
 TEST(EndemicAnalysisTest, EigenCaseComplexAtFigure2Params) {
   // Figure 2: stable spiral -> complex-conjugate case.
-  const EndemicParams fig2{.b = 2, .gamma = 1.0, .alpha = 0.01};
+  const EndemicRates fig2{.beta = 4.0, .gamma = 1.0, .alpha = 0.01};
   EXPECT_EQ(endemic_eigen_case(fig2), num::EigenCase::ComplexConjugate);
 }
 
@@ -106,7 +114,7 @@ TEST(EndemicAnalysisTest, CreationIntervalFigure8Discrepancy) {
   // 88.63". Equation (2) with the *stated* alpha = 0.001 gives y_inf ~ 9.7;
   // the quoted numbers correspond to alpha = 0.01. We verify the 40.6 s
   // figure under alpha = 0.01 and record the discrepancy.
-  const EndemicParams fig8_quoted{.b = 2, .gamma = 0.1, .alpha = 0.01};
+  const EndemicRates fig8_quoted{.beta = 4.0, .gamma = 0.1, .alpha = 0.01};
   const EndemicExpectation e = endemic_expectation(1000, fig8_quoted);
   EXPECT_NEAR(e.stashers, 88.63, 0.05);
   EXPECT_NEAR(stasher_creation_interval_seconds(1000, fig8_quoted, 360.0),
@@ -147,4 +155,4 @@ TEST(LvAnalysisTest, Figure11TimescaleIsRight) {
 }
 
 }  // namespace
-}  // namespace deproto::proto
+}  // namespace deproto::core

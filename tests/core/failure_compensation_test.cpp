@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/mean_field.hpp"
+#include <stdexcept>
+#include <variant>
+
+#include "core/action.hpp"
 #include "core/synthesis.hpp"
 #include "ode/catalog.hpp"
 
@@ -18,30 +21,16 @@ TEST(FailureFactorTest, Values) {
   EXPECT_THROW((void)failure_factor(2, -0.1), std::invalid_argument);
 }
 
-TEST(FailureCompensationTest, PostHocCompensationMatchesSynthesisTime) {
-  // compensate_for_failures(synthesize(sys), f) must model the same system
-  // as synthesize(sys, {.failure_rate = f}).
-  const double f = 0.25;
-  const auto source = ode::catalog::endemic(4.0, 1.0, 0.01);
-  const ProtocolStateMachine post =
-      compensate_for_failures(synthesize(source).machine, f);
-  const ode::EquationSystem realized = mean_field(post, f);
-  // Realized dynamics must be a positive scalar multiple of the source.
-  const double p = post.normalizing_p();
-  EXPECT_TRUE(ode::equivalent(realized, source.scaled(p), 1e-9))
-      << realized.to_string();
-}
-
 TEST(FailureCompensationTest, FlippingCoinsUntouchedBeforeRenormalization) {
-  // Compensating a machine whose sampling coin has headroom must leave the
-  // flip biases unchanged.
+  // Synthesis-time compensation multiplies only sampling coins (|T| = 2:
+  // ff = 1/(1-f)); the flips (|T| = 1: ff = 1) change only through the
+  // shared renormalization of p.
   const auto source = ode::catalog::endemic(4.0, 1.0, 0.01);
-  const auto machine = synthesize(source).machine;  // p = 0.25, coins <= .25
-  const ProtocolStateMachine out = compensate_for_failures(machine, 0.5);
-  // sampling coin would become 0.25*4*2 = 2.0 > 1 -> everything scales by
-  // 1/2; flips go from 0.25 -> 0.125 and 0.0025 -> 0.00125.
-  EXPECT_NEAR(out.normalizing_p(), 0.125, 1e-12);
-  for (const Action& a : out.actions()) {
+  const SynthesisResult out = synthesize(source, {.failure_rate = 0.5});
+  // The sampling coin would become 4 * 2 = 8 > 1 -> p = 1/8; flips go
+  // from 1 -> 0.125 and 0.01 -> 0.00125.
+  EXPECT_NEAR(out.machine.normalizing_p(), 0.125, 1e-12);
+  for (const Action& a : out.machine.actions()) {
     if (const auto* flip = std::get_if<FlippingAction>(&a)) {
       EXPECT_LT(flip->coin_bias, 0.2);
     }
@@ -52,11 +41,13 @@ TEST(FailureCompensationTest, FlippingCoinsUntouchedBeforeRenormalization) {
 }
 
 TEST(FailureCompensationTest, NoOpAtZeroLoss) {
-  const auto machine = synthesize(ode::catalog::epidemic()).machine;
-  const ProtocolStateMachine out = compensate_for_failures(machine, 0.0);
-  EXPECT_DOUBLE_EQ(out.normalizing_p(), machine.normalizing_p());
+  const auto source = ode::catalog::epidemic();
+  const ProtocolStateMachine plain = synthesize(source).machine;
+  const ProtocolStateMachine out =
+      synthesize(source, {.failure_rate = 0.0}).machine;
+  EXPECT_DOUBLE_EQ(out.normalizing_p(), plain.normalizing_p());
   const auto& a = std::get<SamplingAction>(out.actions()[0]);
-  const auto& b = std::get<SamplingAction>(machine.actions()[0]);
+  const auto& b = std::get<SamplingAction>(plain.actions()[0]);
   EXPECT_DOUBLE_EQ(a.coin_bias, b.coin_bias);
 }
 

@@ -64,7 +64,7 @@ AbsorptionSample run_until_absorbed(const ScenarioSpec& spec,
   }
 }
 
-TEST(ExactPinningTest, LvMajoritySplitAbsorptionMatchesCountBackend) {
+TEST(ExactPinningTest, LvSplitAbsorptionMatchesCountBackend) {
   // lv-majority at N = 24 with a 14/10 seed absorbs into the all-x or
   // all-y corner with a genuinely split probability -- the sharpest
   // cross-check available: a biased kernel would shift the split.

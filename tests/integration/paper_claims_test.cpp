@@ -10,12 +10,12 @@
 #include <limits>
 
 #include "api/experiment.hpp"
+#include "core/closed_form.hpp"
 #include "core/fluctuations.hpp"
 #include "numerics/integrator.hpp"
 #include "numerics/phase_portrait.hpp"
 #include "numerics/stability.hpp"
 #include "ode/catalog.hpp"
-#include "protocols/analysis.hpp"
 
 namespace deproto {
 namespace {
@@ -85,7 +85,7 @@ TEST(Theorem4Test, LvConvergenceComplexityMatchesOde) {
   num::AdaptiveOptions opts;
   opts.abs_tol = opts.rel_tol = 1e-12;
   num::integrate_adaptive(f, x, 0.0, 2.0, opts);
-  const proto::LvConvergence conv{.u0 = u0, .v0 = u0, .p = 1.0};
+  const core::LvConvergence conv{.u0 = u0, .v0 = u0, .p = 1.0};
   EXPECT_NEAR(x[0], conv.x(2.0), 0.1 * conv.x(2.0));
 }
 
@@ -94,8 +94,8 @@ TEST(Theorem3Test, EndemicSpiralsIntoSecondEquilibrium) {
   // system ends at eq. (2), and the approach oscillates (stable spiral).
   const double beta = 4.0, gamma = 1.0, alpha = 0.01;
   const auto sys = ode::catalog::endemic(beta, gamma, alpha);
-  const proto::EndemicParams params{.b = 2, .gamma = gamma, .alpha = alpha};
-  const proto::EndemicEquilibrium eq = proto::endemic_equilibrium(params);
+  const core::EndemicEquilibrium eq =
+      core::endemic_equilibrium({.beta = beta, .gamma = gamma, .alpha = alpha});
 
   // The paper's Figure 2 initial points (as fractions of N = 1000).
   const std::vector<Vec> starts{

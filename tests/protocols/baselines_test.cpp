@@ -2,11 +2,30 @@
 
 #include <gtest/gtest.h>
 
-#include "protocols/endemic_replication.hpp"
+#include <vector>
+
+#include "api/experiment.hpp"
 #include "sim/sync_sim.hpp"
 
 namespace deproto::proto {
 namespace {
+
+constexpr std::size_t kStash = 1;  // the endemic machine's state y
+
+/// The Figure 1 endemic machine (eq. (1) with push + pull, b = beta/2
+/// contacts each way) on n hosts.
+api::ScenarioSpec endemic_spec(double beta, double gamma, double alpha,
+                               std::size_t n, std::uint64_t seed,
+                               std::vector<std::size_t> counts) {
+  api::ScenarioSpec spec;
+  spec.source.catalog = "endemic";
+  spec.source.params = {beta, gamma, alpha};
+  spec.synthesis.push_pull.push_back(core::PushPullSpec{"x", "y"});
+  spec.n = n;
+  spec.seed = seed;
+  spec.initial_counts = std::move(counts);
+  return spec;
+}
 
 TEST(HandoffTest, ReplicasAreMartingaleWithoutFailures) {
   // In a failure-free closed group, hand-offs can only lose replicas to
@@ -38,13 +57,14 @@ TEST(HandoffTest, CrashStopDrivesReplicasExtinct) {
 
 TEST(HandoffTest, EndemicSurvivesTheSameStress) {
   // The head-to-head the paper's design motivates: same churn, endemic
-  // replication keeps the object alive while hand-off loses it.
-  EndemicReplication protocol({.b = 4, .gamma = 0.1, .alpha = 0.05});
-  sim::SyncSimulator simulator(500, protocol, 2);
-  simulator.seed_states({440, 60, 0});
-  simulator.set_crash_recovery(0.01, 50.0);
-  simulator.run(2000);
-  EXPECT_GT(simulator.group().count(EndemicReplication::kStash), 0U);
+  // replication (b = 4) keeps the object alive while hand-off loses it.
+  api::ScenarioSpec spec = endemic_spec(8.0, 0.1, 0.05, 500, 2, {440, 60, 0});
+  spec.faults.crash_recovery.crash_prob = 0.01;
+  spec.faults.crash_recovery.mean_downtime_periods = 50.0;
+  api::Experiment experiment(spec);
+  api::ExperimentRun run = experiment.launch();
+  run.advance(2000);
+  EXPECT_GT(run.group().count(kStash), 0U);
 }
 
 TEST(StaticReplicationTest, RepairsAfterDetectionDelay) {
@@ -113,22 +133,19 @@ TEST(StaticReplicationTest, TargetedAttackKillsStaticButNotEndemic) {
       simulator.run(30);
       if (protocol.extinct(simulator.group())) ++static_extinct;
     }
-    // --- endemic replication, same replica budget ---
+    // --- endemic replication (b = 4), same replica budget ---
     {
-      EndemicReplication protocol({.b = 4, .gamma = 0.2, .alpha = 0.1});
-      sim::SyncSimulator simulator(n, protocol, seed);
-      simulator.seed_states({n - 16, 8, 8});
-      simulator.run(20);
-      const auto snapshot =
-          simulator.group().members(EndemicReplication::kStash);
-      simulator.run(attack_delay);
+      api::Experiment experiment(
+          endemic_spec(8.0, 0.2, 0.1, n, seed, {n - 16, 8, 8}));
+      api::ExperimentRun run = experiment.launch();
+      run.advance(20);
+      const auto snapshot = run.group().members(kStash);
+      run.advance(attack_delay);
       for (sim::ProcessId pid : snapshot) {
-        if (simulator.group().alive(pid)) simulator.group().crash(pid);
+        if (run.group().alive(pid)) run.group().crash(pid);
       }
-      simulator.run(30);
-      if (simulator.group().count(EndemicReplication::kStash) == 0) {
-        ++endemic_extinct;
-      }
+      run.advance(30);
+      if (run.group().count(kStash) == 0) ++endemic_extinct;
     }
   }
   // Static replicas never move: the snapshot is always exact => extinct.

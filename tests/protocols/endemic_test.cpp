@@ -1,49 +1,87 @@
-#include "protocols/endemic_replication.hpp"
+// Case Study I (Section 4.1): the endemic protocol of Figure 1, run as the
+// machine synthesized from eq. (1) with the beta*x*y term implemented as
+// push + pull (b = beta/2 contacts each way). States: receptive (x),
+// stash (y), averse (z).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <optional>
+#include <vector>
 
-#include "protocols/analysis.hpp"
-#include "sim/sync_sim.hpp"
+#include "api/experiment.hpp"
+#include "core/closed_form.hpp"
+#include "core/synthesis.hpp"
 
-namespace deproto::proto {
+namespace deproto {
 namespace {
 
-/// Start a simulator at the analytic equilibrium of eq. (2).
-sim::SyncSimulator at_equilibrium(std::size_t n,
-                                  EndemicReplication& protocol,
-                                  std::uint64_t seed) {
-  sim::SyncSimulator simulator(n, protocol, seed);
-  const EndemicExpectation expected =
-      endemic_expectation(n, protocol.params());
+constexpr std::size_t kReceptive = 0;
+constexpr std::size_t kStash = 1;
+constexpr std::size_t kAverse = 2;
+
+/// Eq. (1) at `rates` on n hosts; `push_pull` selects the Figure 1 machine
+/// over the pure mapping (pull only, p = 1/beta).
+api::ScenarioSpec endemic_spec(const core::EndemicRates& rates,
+                               std::size_t n, std::uint64_t seed,
+                               std::vector<std::size_t> counts,
+                               bool push_pull = true) {
+  api::ScenarioSpec spec;
+  spec.source.catalog = "endemic";
+  spec.source.params = {rates.beta, rates.gamma, rates.alpha};
+  if (push_pull) {
+    spec.synthesis.push_pull.push_back(core::PushPullSpec{"x", "y"});
+  }
+  spec.n = n;
+  spec.seed = seed;
+  spec.initial_counts = std::move(counts);
+  return spec;
+}
+
+/// The Figure 1 machine started at the analytic equilibrium of eq. (2).
+api::ScenarioSpec at_equilibrium(const core::EndemicRates& rates,
+                                 std::size_t n, std::uint64_t seed) {
+  const core::EndemicExpectation expected = core::endemic_expectation(n, rates);
   const auto rx = static_cast<std::size_t>(expected.receptives);
   const auto sy = static_cast<std::size_t>(expected.stashers);
-  simulator.seed_states({rx, sy, n - rx - sy});
-  return simulator;
+  return endemic_spec(rates, n, seed, {rx, sy, n - rx - sy});
 }
 
 TEST(EndemicTest, ParameterValidation) {
-  EXPECT_THROW(EndemicReplication({.b = 0}), std::invalid_argument);
-  EXPECT_THROW(EndemicReplication({.b = 2, .gamma = 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(EndemicReplication({.b = 2, .gamma = 0.1, .alpha = 1.5}),
-               std::invalid_argument);
+  // Synthesis refuses rates the Figure 1 machine cannot run: no contact
+  // (beta = 0) or no deletion (gamma = 0) leaves an unpaired term, and at
+  // the machine's full rate (p = 1) alpha is a per-period coin bias.
+  auto launch = [](const core::EndemicRates& rates,
+                   std::optional<double> p = std::nullopt) {
+    api::ScenarioSpec spec = endemic_spec(rates, 100, 1, {50, 50, 0});
+    spec.synthesis.p = p;
+    api::Experiment experiment(spec);
+    (void)experiment.launch();
+  };
+  EXPECT_THROW(launch({.beta = 0.0, .gamma = 0.1, .alpha = 0.001}),
+               core::SynthesisError);
+  EXPECT_THROW(launch({.beta = 4.0, .gamma = 0.0, .alpha = 0.001}),
+               core::SynthesisError);
+  EXPECT_THROW(launch({.beta = 4.0, .gamma = 0.1, .alpha = 1.5}, 1.0),
+               core::SynthesisError);
+  EXPECT_NO_THROW(launch({.beta = 4.0, .gamma = 0.1, .alpha = 0.001}, 1.0));
 }
 
 TEST(EndemicTest, PopulationsTrackAnalyticEquilibrium) {
   // Figure 7's verification at laptop scale: N = 20000, b = 2, gamma = 0.1,
   // alpha = 0.001; median populations over a window must match eq. (2).
-  EndemicReplication protocol({.b = 2, .gamma = 0.1, .alpha = 0.001});
-  auto simulator = at_equilibrium(20000, protocol, 1);
-  simulator.run(600);
-  const EndemicExpectation expected =
-      endemic_expectation(20000, protocol.params());
-  const auto stash = simulator.metrics().summarize_state(
-      EndemicReplication::kStash, 100, 600);
-  const auto receptive = simulator.metrics().summarize_state(
-      EndemicReplication::kReceptive, 100, 600);
+  const core::EndemicRates rates{.beta = 4.0, .gamma = 0.1, .alpha = 0.001};
+  api::Experiment experiment(at_equilibrium(rates, 20000, 1));
+  api::ExperimentRun run = experiment.launch();
+  run.advance(600);
+  const core::EndemicExpectation expected =
+      core::endemic_expectation(20000, rates);
+  const auto stash =
+      run.simulator().metrics().summarize_state(kStash, 100, 600);
+  const auto receptive =
+      run.simulator().metrics().summarize_state(kReceptive, 100, 600);
   EXPECT_NEAR(stash.median, expected.stashers, 0.15 * expected.stashers);
   EXPECT_NEAR(receptive.median, expected.receptives,
               0.15 * expected.receptives);
@@ -52,28 +90,27 @@ TEST(EndemicTest, PopulationsTrackAnalyticEquilibrium) {
 TEST(EndemicTest, SafetyReplicasNeverVanish) {
   // With y_inf ~ 100 replicas the extinction probability is 2^-100 per
   // period: the replica population must stay positive over the whole run.
-  EndemicReplication protocol({.b = 2, .gamma = 0.1, .alpha = 0.001});
-  auto simulator = at_equilibrium(10000, protocol, 2);
+  const core::EndemicRates rates{.beta = 4.0, .gamma = 0.1, .alpha = 0.001};
+  api::Experiment experiment(at_equilibrium(rates, 10000, 2));
+  api::ExperimentRun run = experiment.launch();
   for (int k = 0; k < 50; ++k) {
-    simulator.run(10);
-    EXPECT_GT(simulator.group().count(EndemicReplication::kStash), 0U);
+    run.advance(10);
+    EXPECT_GT(run.group().count(kStash), 0U);
   }
 }
 
 TEST(EndemicTest, LivenessEveryStasherEventuallyDeletes) {
   // gamma = 0.5: a stasher stays ~2 periods. Track one specific stasher.
-  EndemicReplication protocol({.b = 2, .gamma = 0.5, .alpha = 0.5});
-  sim::SyncSimulator simulator(200, protocol, 3);
-  simulator.seed_states({100, 100, 0});
+  const core::EndemicRates rates{.beta = 4.0, .gamma = 0.5, .alpha = 0.5};
+  api::Experiment experiment(endemic_spec(rates, 200, 3, {100, 100, 0}));
+  api::ExperimentRun run = experiment.launch();
   // All original stashers (pids 100..199) must leave the stash state at
   // some point within a generous horizon.
   std::vector<bool> left(200, false);
   for (int period = 0; period < 200; ++period) {
-    simulator.run(1);
+    run.advance(1);
     for (sim::ProcessId pid = 100; pid < 200; ++pid) {
-      if (simulator.group().state_of(pid) != EndemicReplication::kStash) {
-        left[pid] = true;
-      }
+      if (run.group().state_of(pid) != kStash) left[pid] = true;
     }
   }
   for (sim::ProcessId pid = 100; pid < 200; ++pid) {
@@ -82,10 +119,16 @@ TEST(EndemicTest, LivenessEveryStasherEventuallyDeletes) {
 }
 
 TEST(EndemicTest, FairnessStashDutySpreadsAcrossHosts) {
-  EndemicReplication protocol({.b = 2, .gamma = 0.2, .alpha = 0.05});
-  auto simulator = at_equilibrium(500, protocol, 4);
-  simulator.run(4000);
-  const auto& duty = protocol.stash_periods();
+  const core::EndemicRates rates{.beta = 4.0, .gamma = 0.2, .alpha = 0.05};
+  api::Experiment experiment(at_equilibrium(rates, 500, 4));
+  api::ExperimentRun run = experiment.launch();
+  // Periods each host spends in the stash state, counted at the start of
+  // every period.
+  std::vector<std::uint64_t> duty(500, 0);
+  for (int period = 0; period < 4000; ++period) {
+    for (const sim::ProcessId pid : run.group().members(kStash)) ++duty[pid];
+    run.advance(1);
+  }
   const std::size_t served =
       static_cast<std::size_t>(std::count_if(duty.begin(), duty.end(),
                                              [](std::uint64_t d) {
@@ -106,63 +149,59 @@ TEST(EndemicTest, MassiveFailureHalvesStashersNotReceptives) {
   // The Figure 5 phenomenon: after 50% of hosts crash, stasher count halves
   // while the receptive count recovers to its old absolute value (fruitless
   // contacts halve the effective b, doubling x_inf as a fraction).
-  EndemicReplication protocol({.b = 2, .gamma = 0.1, .alpha = 0.001});
+  const core::EndemicRates rates{.beta = 4.0, .gamma = 0.1, .alpha = 0.001};
   const std::size_t n = 20000;
-  auto simulator = at_equilibrium(n, protocol, 5);
-  simulator.run(200);
-  const double stash_before = simulator.metrics()
-                                  .summarize_state(EndemicReplication::kStash,
-                                                   100, 200)
-                                  .median;
-  simulator.schedule_massive_failure(200, 0.5);
-  simulator.run(600);
-  const auto stash_after = simulator.metrics().summarize_state(
-      EndemicReplication::kStash, 500, 800);
-  const auto receptive_after = simulator.metrics().summarize_state(
-      EndemicReplication::kReceptive, 500, 800);
+  api::Experiment experiment(at_equilibrium(rates, n, 5));
+  api::ExperimentRun run = experiment.launch();
+  const sim::MetricsCollector& metrics = run.simulator().metrics();
+  run.advance(200);
+  const double stash_before = metrics.summarize_state(kStash, 100, 200).median;
+  run.simulator().schedule_massive_failure(200, 0.5);
+  run.advance(600);
+  const auto stash_after = metrics.summarize_state(kStash, 500, 800);
+  const auto receptive_after = metrics.summarize_state(kReceptive, 500, 800);
   EXPECT_NEAR(stash_after.median, stash_before / 2.0, 0.25 * stash_before);
-  const EndemicExpectation expected = endemic_expectation(n, protocol.params());
+  const core::EndemicExpectation expected = core::endemic_expectation(n, rates);
   EXPECT_NEAR(receptive_after.median, expected.receptives,
               0.3 * expected.receptives);
   // Figure 6: the file flux follows the halved stash population (gamma * Y)
   // instead of spiking after the failure.
-  const auto flux_after = simulator.metrics().summarize_flux(
-      EndemicReplication::kReceptive, EndemicReplication::kStash, 500, 800);
-  const double gamma = protocol.params().gamma;
-  EXPECT_NEAR(flux_after.mean, gamma * stash_after.median,
-              0.3 * gamma * stash_after.median);
+  const auto flux_after = metrics.summarize_flux(kReceptive, kStash, 500, 800);
+  EXPECT_NEAR(flux_after.mean, rates.gamma * stash_after.median,
+              0.3 * rates.gamma * stash_after.median);
 }
 
 TEST(EndemicTest, PushDisabledStillConvergesButSlower) {
-  EndemicReplication with_push({.b = 2, .gamma = 0.1, .alpha = 0.01});
-  EndemicReplication no_push(
-      {.b = 2, .gamma = 0.1, .alpha = 0.01, .push_enabled = false});
-  sim::SyncSimulator sim_push(2000, with_push, 6);
-  sim::SyncSimulator sim_nopush(2000, no_push, 6);
-  // Start both from a single stasher.
-  sim_push.seed_states({1999, 1, 0});
-  sim_nopush.seed_states({1999, 1, 0});
-  sim_push.run(50);
-  sim_nopush.run(50);
-  EXPECT_GT(sim_push.group().count(EndemicReplication::kStash) +
-                sim_push.group().count(EndemicReplication::kAverse),
-            sim_nopush.group().count(EndemicReplication::kStash) +
-                sim_nopush.group().count(EndemicReplication::kAverse));
+  // Ablation A2: the Figure 1 push-pull machine against the pure mapping
+  // of eq. (1) at the same rates. The pure machine pulls once per period
+  // with p = 1/beta, so it spreads a fresh file more slowly ...
+  const core::EndemicRates rates{.beta = 4.0, .gamma = 0.1, .alpha = 0.01};
+  const std::size_t n = 2000;
+  auto periods_to_half = [&](bool push_pull) {
+    api::Experiment experiment(
+        endemic_spec(rates, n, 6, {n - 1, 1, 0}, push_pull));
+    api::ExperimentRun run = experiment.launch();
+    while (run.group().count(kStash) + run.group().count(kAverse) < n / 2 &&
+           run.period() < 1000) {
+      run.advance(1);
+    }
+    return run.period();
+  };
+  EXPECT_LT(periods_to_half(true), periods_to_half(false));
 
-  // Pull-only at b = 4 has the contact rate beta = 4 of push+pull at b = 2,
-  // so it converges to the same eq. (2) population.
-  EndemicReplication pull_only(
-      {.b = 4, .gamma = 0.1, .alpha = 0.01, .push_enabled = false});
-  sim::SyncSimulator sim_pull(2000, pull_only, 6);
-  sim_pull.seed_states({1000, 1000, 0});
-  sim_pull.run(1000);
-  const auto stash = sim_pull.metrics().summarize_state(
-      EndemicReplication::kStash, 500, 1000);
-  const EndemicExpectation expected =
-      endemic_expectation(2000, with_push.params());
-  ASSERT_DOUBLE_EQ(endemic_expectation(2000, pull_only.params()).stashers,
-                   expected.stashers);
-  EXPECT_NEAR(stash.median, expected.stashers, 0.15 * expected.stashers);
+  // ... but both realize beta, so both converge to the same eq. (2)
+  // population.
+  const core::EndemicExpectation expected = core::endemic_expectation(n, rates);
+  for (const bool push_pull : {false, true}) {
+    api::Experiment experiment(
+        endemic_spec(rates, n, 6, {1000, 1000, 0}, push_pull));
+    api::ExperimentRun run = experiment.launch();
+    run.advance(1000);
+    const auto stash =
+        run.simulator().metrics().summarize_state(kStash, 500, 1000);
+    EXPECT_NEAR(stash.median, expected.stashers, 0.15 * expected.stashers)
+        << (push_pull ? "push-pull" : "pure");
+  }
 }
 
 TEST(EndemicTest, FluxMatchesGammaTimesStashers) {
@@ -170,15 +209,16 @@ TEST(EndemicTest, FluxMatchesGammaTimesStashers) {
   // whatever the averse dwell time 1/alpha: alpha -> 1 degenerates toward
   // a 2-state protocol, and the transfer cost per replica stays gamma.
   for (const double alpha : {0.001, 0.5}) {
-    EndemicReplication protocol({.b = 2, .gamma = 0.1, .alpha = alpha});
-    auto simulator = at_equilibrium(20000, protocol, 7);
-    simulator.run(500);
-    const auto flux = simulator.metrics().summarize_flux(
-        EndemicReplication::kReceptive, EndemicReplication::kStash, 100, 500);
-    const EndemicExpectation expected =
-        endemic_expectation(20000, protocol.params());
-    EXPECT_NEAR(flux.mean, protocol.params().gamma * expected.stashers,
-                0.3 * protocol.params().gamma * expected.stashers)
+    const core::EndemicRates rates{.beta = 4.0, .gamma = 0.1, .alpha = alpha};
+    api::Experiment experiment(at_equilibrium(rates, 20000, 7));
+    api::ExperimentRun run = experiment.launch();
+    run.advance(500);
+    const auto flux = run.simulator().metrics().summarize_flux(
+        kReceptive, kStash, 100, 500);
+    const core::EndemicExpectation expected =
+        core::endemic_expectation(20000, rates);
+    EXPECT_NEAR(flux.mean, rates.gamma * expected.stashers,
+                0.3 * rates.gamma * expected.stashers)
         << "alpha " << alpha;
   }
 }
@@ -186,30 +226,55 @@ TEST(EndemicTest, FluxMatchesGammaTimesStashers) {
 TEST(EndemicTest, ChurnResistance) {
   // Figures 9-10 at reduced scale: N = 1000, b = 32, gamma = 0.1,
   // alpha = 0.005, hourly churn of 10-25% (10 periods per hour).
-  EndemicReplication protocol({.b = 32, .gamma = 0.1, .alpha = 0.005});
-  sim::SyncSimulator simulator(1000, protocol, 8);
-  sim::Rng churn_rng(99);
-  const auto trace =
-      sim::ChurnTrace::synthetic_overnet(1000, 60.0, 0.10, 0.25, 0.5,
-                                         churn_rng);
-  simulator.attach_churn(trace, 10.0);
-  const EndemicExpectation expected =
-      endemic_expectation(1000, protocol.params());
+  const core::EndemicRates rates{.beta = 64.0, .gamma = 0.1, .alpha = 0.005};
+  const core::EndemicExpectation expected =
+      core::endemic_expectation(1000, rates);
   const auto sy = static_cast<std::size_t>(expected.stashers);
-  simulator.seed_states({1000 - sy, sy, 0});
-  simulator.run(550);
+  api::ScenarioSpec spec = endemic_spec(rates, 1000, 8, {1000 - sy, sy, 0});
+  api::ChurnSpec& churn = spec.faults.churn;
+  churn.enabled = true;
+  churn.hours = 60.0;
+  churn.min_rate = 0.10;
+  churn.max_rate = 0.25;
+  churn.mean_downtime_hours = 0.5;
+  churn.seed = 99;
+  churn.periods_per_hour = 10.0;
+  api::Experiment experiment(spec);
+  api::ExperimentRun run = experiment.launch();
+  run.advance(550);
   // The stasher population stays positive and within sane bounds
   // throughout churn.
-  const auto stash = simulator.metrics().summarize_state(
-      EndemicReplication::kStash, 50, 550);
+  const auto stash = run.simulator().metrics().summarize_state(kStash, 50, 550);
   EXPECT_GT(stash.min, 0.0);
   EXPECT_LT(stash.max, 6.0 * expected.stashers);
 }
 
 TEST(EndemicTest, RejoinStateIsReceptive) {
-  EndemicReplication protocol({.b = 2, .gamma = 0.1, .alpha = 0.001});
-  EXPECT_EQ(protocol.rejoin_state(), EndemicReplication::kReceptive);
+  // Every backend revives a host into state 0, which the synthesized
+  // machine assigns to x: a host back from a crash holds no replica and
+  // is receptive again, whatever it held before.
+  const core::EndemicRates rates{.beta = 4.0, .gamma = 0.1, .alpha = 0.001};
+  // pid 0 holds the only replica; everyone else is averse.
+  api::Experiment experiment(endemic_spec(rates, 100, 9, {0, 1, 99}));
+  ASSERT_EQ(experiment.artifacts().synthesis.machine.state_index("x"),
+            kReceptive);
+  api::ExperimentRun run = experiment.launch();
+  ASSERT_EQ(run.group().state_of(0), kStash);
+  ASSERT_EQ(run.group().state_of(99), kAverse);
+  run.simulator().schedule_crash(0, 0.0, /*recover_time=*/2.0);
+  run.simulator().schedule_crash(99, 0.0, /*recover_time=*/2.0);
+  run.advance(1);
+  EXPECT_FALSE(run.group().alive(0));
+  EXPECT_FALSE(run.group().alive(99));
+  // With the replica gone nothing can pull a receptive host into stash,
+  // so the rejoin state stays observable.
+  ASSERT_EQ(run.group().count(kStash), 0U);
+  run.advance(2);
+  ASSERT_TRUE(run.group().alive(0));
+  ASSERT_TRUE(run.group().alive(99));
+  EXPECT_EQ(run.group().state_of(0), kReceptive);
+  EXPECT_EQ(run.group().state_of(99), kReceptive);
 }
 
 }  // namespace
-}  // namespace deproto::proto
+}  // namespace deproto

@@ -28,14 +28,12 @@ core::ProtocolStateMachine frozen_machine() {
   return core::ProtocolStateMachine({"x", "y"});
 }
 
-/// Minimal protocol with observable fault hooks: state 0 flips to 1 with
-/// probability q; rejoiners land in `rejoin`; crashes are counted.
+/// Minimal protocol with an observable crash hook: state 0 flips to 1 with
+/// probability q; crashes are counted.
 class FlipProtocol final : public PeriodicProtocol {
  public:
-  explicit FlipProtocol(double q, std::size_t rejoin = 0)
-      : q_(q), rejoin_(rejoin) {}
+  explicit FlipProtocol(double q) : q_(q) {}
   [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] std::size_t rejoin_state() const override { return rejoin_; }
   void on_crash(ProcessId) override { ++crashes_seen_; }
 
   void execute_period(Group& group, Rng& rng,
@@ -50,7 +48,6 @@ class FlipProtocol final : public PeriodicProtocol {
 
  private:
   double q_;
-  std::size_t rejoin_;
   int crashes_seen_ = 0;
 };
 
@@ -99,20 +96,20 @@ TEST(SimulatorInterfaceTest, SeedingSkipsCrashedProcessesOnEveryBackend) {
 }
 
 TEST(SimulatorInterfaceTest, SyncScheduleCrashRecoversIntoRejoinState) {
-  FlipProtocol protocol(0.0, /*rejoin=*/1);
+  FlipProtocol protocol(0.0);
   SyncSimulator simulator(10, protocol, 2);
+  simulator.seed_states({3, 7});  // pid 3 starts in state 1
   simulator.schedule_crash(3, 1.0, /*recover_time=*/4.0);
   simulator.run(3);
   EXPECT_FALSE(simulator.group().alive(3));
   simulator.run(3);
   EXPECT_TRUE(simulator.group().alive(3));
-  EXPECT_EQ(simulator.group().state_of(3), 1U);
+  EXPECT_EQ(simulator.group().state_of(3), 0U);  // every rejoin enters 0
   EXPECT_EQ(protocol.crashes_seen(), 1);
 }
 
 TEST(SimulatorInterfaceTest, EventMachineModeRecoversIntoStateZero) {
-  // Raw synthesized machines have no rejoin hook; state 0 is the contract
-  // (matching MachineExecutor's PeriodicProtocol default on sync).
+  // State 0 is the rejoin contract on every backend.
   const auto result = core::synthesize(ode::catalog::epidemic());
   EventSimulator simulator(20, result.machine, 4);
   simulator.seed_states({0, 20});  // everyone infected

@@ -8,10 +8,8 @@ namespace {
 /// Minimal protocol: state 0 members flip to state 1 with probability q.
 class FlipProtocol final : public PeriodicProtocol {
  public:
-  explicit FlipProtocol(double q, std::size_t rejoin = 0)
-      : q_(q), rejoin_(rejoin) {}
+  explicit FlipProtocol(double q) : q_(q) {}
   [[nodiscard]] std::size_t num_states() const override { return 2; }
-  [[nodiscard]] std::size_t rejoin_state() const override { return rejoin_; }
   void on_crash(ProcessId) override { ++crashes_seen_; }
 
   void execute_period(Group& group, Rng& rng,
@@ -26,7 +24,6 @@ class FlipProtocol final : public PeriodicProtocol {
 
  private:
   double q_;
-  std::size_t rejoin_;
   int crashes_seen_ = 0;
 };
 
@@ -68,8 +65,9 @@ TEST(SyncSimTest, MassiveFailureCrashesFraction) {
 }
 
 TEST(SyncSimTest, ChurnPlaybackCrashesAndRecovers) {
-  FlipProtocol protocol(0.0, /*rejoin=*/1);
+  FlipProtocol protocol(0.0);
   SyncSimulator simulator(10, protocol, 5);
+  simulator.seed_states({3, 7});  // host 3 starts in state 1
   // Host 3 leaves at hour 0.1 and rejoins at hour 0.5 (periods: x10).
   simulator.attach_churn(ChurnTrace::from_events({
                              ChurnEvent{0.1, 3, false},
@@ -80,8 +78,8 @@ TEST(SyncSimTest, ChurnPlaybackCrashesAndRecovers) {
   EXPECT_FALSE(simulator.group().alive(3));
   simulator.run(4);  // covers the rejoin at t = 5.0 periods
   EXPECT_TRUE(simulator.group().alive(3));
-  // Rejoined into the protocol's rejoin_state.
-  EXPECT_EQ(simulator.group().state_of(3), 1U);
+  // Rejoined into state 0, whatever it held before the departure.
+  EXPECT_EQ(simulator.group().state_of(3), 0U);
 }
 
 TEST(SyncSimTest, ChurnDepartureOnly) {
@@ -95,7 +93,7 @@ TEST(SyncSimTest, ChurnDepartureOnly) {
 }
 
 TEST(SyncSimTest, CrashRecoveryKeepsPopulationRoughlyConstant) {
-  FlipProtocol protocol(0.0, /*rejoin=*/0);
+  FlipProtocol protocol(0.0);
   SyncSimulator simulator(2000, protocol, 7);
   simulator.set_crash_recovery(0.01, 10.0);
   simulator.run(300);
