@@ -280,12 +280,12 @@ std::size_t ExactChain::state_space_size(std::size_t num_states,
                                          std::size_t n) {
   if (num_states == 0) return 0;
   // C(n + k, k) built by the exact integer recurrence r <- r*(n+k)/k,
-  // saturating instead of overflowing.
+  // saturating instead of overflowing -- in n + k as well as in r.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (n > kMax - (num_states - 1)) return kMax;
   std::size_t result = 1;
   for (std::size_t k = 1; k + 1 <= num_states; ++k) {
-    if (result > std::numeric_limits<std::size_t>::max() / (n + k)) {
-      return std::numeric_limits<std::size_t>::max();
-    }
+    if (result > kMax / (n + k)) return kMax;
     result = result * (n + k) / k;
   }
   return result;

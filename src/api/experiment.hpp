@@ -178,7 +178,7 @@ class Experiment {
 
   /// Stage 1 of the pipeline: the resolved source system and its Section 2
   /// classification. Available even when synthesis would fail, so callers
-  /// (deproto-synth) can show parse/taxonomy diagnostics first.
+  /// (deproto-run) can show parse/taxonomy diagnostics first.
   struct Resolved {
     ode::EquationSystem source;    // as resolved, before any auto-rewrite
     ode::TaxonomyReport taxonomy;  // of the resolved source

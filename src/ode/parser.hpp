@@ -1,7 +1,7 @@
 #pragma once
 
 // Text format for equation systems, so protocols can be synthesized from a
-// plain file (see tools/deproto-synth). One equation per line:
+// plain file (see `deproto-run --ode`). One equation per line:
 //
 //     x' = -0.4*x*y + 0.05*z      # comments run to end of line
 //     dy/dt = 0.4*x*y - 0.1*y

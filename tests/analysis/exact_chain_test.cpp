@@ -84,8 +84,12 @@ TEST(ExactChainTest, StateSpaceSizeMatchesBinomialFormula) {
 }
 
 TEST(ExactChainTest, StateSpaceSizeSaturatesInsteadOfOverflowing) {
-  EXPECT_EQ(ExactChain::state_space_size(20, 1000000000),
-            std::numeric_limits<std::size_t>::max());
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(ExactChain::state_space_size(20, 1000000000), kMax);
+  // n + k itself would wrap: these used to come back 0 and pass any
+  // state budget.
+  EXPECT_EQ(ExactChain::state_space_size(2, kMax), kMax);
+  EXPECT_EQ(ExactChain::state_space_size(3, kMax - 1), kMax);
 }
 
 TEST(ExactChainTest, EnumerationCoversTheLatticeSortedAndInvertible) {

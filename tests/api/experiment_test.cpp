@@ -43,7 +43,7 @@ TEST(ExperimentTest, MatchesLegacyQuickstartWiring) {
 }
 
 TEST(ExperimentTest, MatchesLegacySynthEvenSpreadWiring) {
-  // The legacy deproto-synth --simulate path: even spread n/m per state,
+  // The legacy synth CLI's --simulate path: even spread n/m per state,
   // remainder left in state 0, message loss wired from the failure rate.
   const double loss = 0.1;
   core::SynthesisOptions options;

@@ -114,7 +114,7 @@ TEST(EquivalenceTest, SequencingBiasIsSecondOrder) {
   // probe time. The deviation from the simultaneous-update mean field is
   // O(rate^2) per period, so at rates <= 0.1 the live-mode gap stays near
   // the sampling-noise floor. The rate-scaled source goes in as ODE text
-  // (there is no catalog id for it) -- the deproto-synth user journey.
+  // (there is no catalog id for it) -- the `deproto-run --ode` journey.
   api::ScenarioSpec spec;
   spec.source.ode_text = ode::catalog::epidemic().scaled(0.1).to_string();
   const double gap = trajectory_gap(spec, 4000, {3600, 400}, 60, 13,

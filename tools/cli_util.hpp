@@ -1,67 +1,163 @@
 #pragma once
 
-// Shared strict argument parsing for the deproto CLIs. Every numeric flag
-// must parse completely: "abc", "12x", "" and out-of-range values are
-// rejected with a clear per-flag error instead of atof's silent 0.
+// Shared argument handling for the deproto CLIs: one flag table per tool
+// with strict typed setters (a malformed or out-of-range value is an
+// error naming the flag), a per-mode composition check, and whole-file
+// read/write helpers.
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <iostream>
+#include <iterator>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace deproto::cli {
 
-/// Whole-string unsigned integer: decimal digits only (no signs, spaces,
-/// or trailing junk), rejecting overflow.
-inline bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
+/// A flag error found after parsing (a bad combination of values); the
+/// tool reports it with its usage line and exits 2, like a parse error.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// One row of a flag table. `modes` is a bit set of the tool's modes that
+/// read the flag; the row named "<...>" takes the bare (positional)
+/// arguments. A switch's setter ignores its argument; a valued flag's
+/// setter returns false for a malformed or out-of-range value.
+struct Flag {
+  std::string name;
+  unsigned modes;
+  bool takes_value;
+  std::function<bool(const std::string&)> set;
+};
+
+inline constexpr unsigned kAnyMode = ~0u;
+
+inline Flag switch_flag(std::string name, unsigned modes, bool* out) {
+  return {std::move(name), modes, false,
+          [out](const std::string&) { return *out = true; }};
 }
 
-inline bool parse_size(const std::string& text, std::size_t* out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(text, &v)) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
+inline Flag text_flag(std::string name, unsigned modes, std::string* out) {
+  auto set = [out](const std::string& value) {
+    *out = value;
+    return true;
+  };
+  return {std::move(name), modes, true, std::move(set)};
 }
 
-/// Whole-string finite double in plain decimal/scientific notation.
-/// Leading whitespace, hex floats, "inf", and "nan" are all rejected --
-/// strtod accepts them, but a NaN rate would slip past every downstream
-/// range check and "0x2" is never what a flag value meant.
-inline bool parse_double(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  for (const char c : text) {
-    const bool decimal = (c >= '0' && c <= '9') || c == '.' || c == 'e' ||
-                         c == 'E' || c == '+' || c == '-';
-    if (!decimal) return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size() || !std::isfinite(v)) {
-    return false;
-  }
-  *out = v;
-  return true;
+/// A repeatable flag (or the positional row): every value is appended.
+inline Flag list_flag(std::string name, unsigned modes,
+                      std::vector<std::string>* out) {
+  auto set = [out](const std::string& value) {
+    out->push_back(value);
+    return true;
+  };
+  return {std::move(name), modes, true, std::move(set)};
 }
 
-/// Report a malformed or missing flag value on stderr; returns false so
-/// call sites can `return value_error(...)`.
-inline bool value_error(const char* flag, const char* what,
-                        const std::string& value) {
-  std::fprintf(stderr, "error: %s for %s: '%s'\n", what, flag, value.c_str());
-  return false;
+/// A numeric flag whose value must be a whole-string T in [lo, hi]:
+/// from_chars takes no space, '+', hex, or '-' for unsigned T, and flags
+/// overflow; "inf" and "nan" are rejected too. `Out` is T or optional<T>.
+template <class T, class Out>
+Flag number_flag(std::string name, unsigned modes, Out* out,
+                 T lo = std::numeric_limits<T>::lowest(),
+                 T hi = std::numeric_limits<T>::max()) {
+  auto set = [=](const std::string& text) {
+    T v{};
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || stop != end || v < lo || v > hi) return false;
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(v)) return false;
+    }
+    *out = v;
+    return true;
+  };
+  return {std::move(name), modes, true, std::move(set)};
+}
+
+class FlagTable {
+ public:
+  explicit FlagTable(std::vector<Flag> flags) : flags_(std::move(flags)) {}
+
+  /// Run every argument through its row's setter. Reports the first
+  /// unknown flag, missing value or bad value on stderr and returns false.
+  bool parse(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const bool positional = arg.empty() || arg[0] != '-';
+      const Flag* flag = nullptr;
+      for (const Flag& row : flags_) {
+        if (positional ? row.name[0] == '<' : row.name == arg) flag = &row;
+      }
+      if (flag == nullptr) {
+        std::fprintf(stderr, "error: unknown %s: %s\n",
+                     positional ? "argument" : "flag", arg.c_str());
+        return false;
+      }
+      std::string value = arg;
+      if (flag->takes_value && !positional) {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "error: missing value for %s\n", arg.c_str());
+          return false;
+        }
+        value = argv[++i];
+      }
+      if (!flag->set(value)) {
+        std::fprintf(stderr, "error: invalid value for %s: '%s'\n",
+                     flag->name.c_str(), value.c_str());
+        return false;
+      }
+      given_.push_back(flag);
+    }
+    return true;
+  }
+
+  /// The composition check: reject every given flag whose row does not
+  /// list any of the bits of `mode` (the flag would be silently ignored).
+  bool check_mode(unsigned mode, const char* mode_name) const {
+    for (const Flag* flag : given_) {
+      if ((flag->modes & mode) == 0) {
+        std::fprintf(stderr, "error: %s is not accepted in %s mode\n",
+                     flag->name.c_str(), mode_name);
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::vector<Flag> flags_;
+  std::vector<const Flag*> given_;
+};
+
+/// The whole of `path` ("-" = stdin). Throws std::runtime_error when it
+/// cannot be read.
+inline std::string read_file(const std::string& path) {
+  if (path == "-") {
+    return {std::istreambuf_iterator<char>(std::cin), {}};
+  }
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + path);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// Write `content` plus a newline to `path`. The stream is closed before
+/// it is checked, so a failing final flush (a full disk) is reported too.
+inline bool write_file(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary);
+  out << content << '\n';
+  out.close();
+  if (!out) std::fprintf(stderr, "error: writing %s failed\n", path.c_str());
+  return static_cast<bool>(out);
 }
 
 }  // namespace deproto::cli

@@ -26,14 +26,13 @@
 
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/verifier.hpp"
 #include "api/registry.hpp"
+#include "cli_util.hpp"
 
 namespace {
 
@@ -52,8 +51,8 @@ struct CliOptions {
   bool no_suppress = false;
   bool quiet = false;
   bool exact = false;
-  std::size_t exact_n = 0;           // 0: keep the analyzer default
-  std::size_t exact_max_states = 0;  // 0: keep the analyzer default
+  std::optional<std::size_t> exact_n;  // unset: the analyzer default
+  std::optional<std::size_t> exact_max_states;
 };
 
 int usage(const char* argv0) {
@@ -65,63 +64,32 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parse_args(int argc, char** argv, CliOptions* opts) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--registry") {
-      opts->registry = true;
-    } else if (arg == "--spec") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --spec needs a file\n");
-        return false;
-      }
-      opts->spec_files.push_back(argv[++i]);
-    } else if (arg == "--json") {
-      opts->json = true;
-    } else if (arg == "--strict") {
-      opts->strict = true;
-    } else if (arg == "--no-suppress") {
-      opts->no_suppress = true;
-    } else if (arg == "--quiet") {
-      opts->quiet = true;
-    } else if (arg == "--exact") {
-      opts->exact = true;
-    } else if (arg == "--exact-n" || arg == "--exact-max-states") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a number\n", arg.c_str());
-        return false;
-      }
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || v == 0) {
-        std::fprintf(stderr, "error: %s needs a positive integer, got %s\n",
-                     arg.c_str(), argv[i]);
-        return false;
-      }
-      (arg == "--exact-n" ? opts->exact_n : opts->exact_max_states) =
-          static_cast<std::size_t>(v);
-      opts->exact = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
-      return false;
-    } else {
-      opts->scenarios.push_back(arg);
-    }
-  }
-  return opts->registry || !opts->scenarios.empty() ||
-         !opts->spec_files.empty();
+bool parse_args(int argc, char** argv, CliOptions* o) {
+  using deproto::cli::kAnyMode;
+  using deproto::cli::list_flag;
+  using deproto::cli::number_flag;
+  using deproto::cli::switch_flag;
+  deproto::cli::FlagTable flags({
+      list_flag("<scenario>", kAnyMode, &o->scenarios),
+      list_flag("--spec", kAnyMode, &o->spec_files),
+      switch_flag("--registry", kAnyMode, &o->registry),
+      switch_flag("--json", kAnyMode, &o->json),
+      switch_flag("--strict", kAnyMode, &o->strict),
+      switch_flag("--no-suppress", kAnyMode, &o->no_suppress),
+      switch_flag("--quiet", kAnyMode, &o->quiet),
+      switch_flag("--exact", kAnyMode, &o->exact),
+      number_flag<std::size_t>("--exact-n", kAnyMode, &o->exact_n, 1),
+      number_flag<std::size_t>("--exact-max-states", kAnyMode,
+                               &o->exact_max_states, 1),
+  });
+  if (!flags.parse(argc, argv)) return false;
+  o->exact = o->exact || o->exact_n || o->exact_max_states;
+  return o->registry || !o->scenarios.empty() || !o->spec_files.empty();
 }
 
 bool load_spec_file(const std::string& path, ScenarioSpec* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
   try {
-    *out = ScenarioSpec::from_json(Json::parse(buffer.str()));
+    *out = ScenarioSpec::from_json(Json::parse(deproto::cli::read_file(path)));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s: %s\n", path.c_str(), e.what());
     return false;
@@ -173,10 +141,9 @@ int main(int argc, char** argv) {
   deproto::analysis::VerifyOptions verify;
   verify.apply_suppressions = !opts.no_suppress;
   verify.exact = opts.exact;
-  if (opts.exact_n > 0) verify.exact_chain.n = opts.exact_n;
-  if (opts.exact_max_states > 0) {
-    verify.exact_chain.max_states = opts.exact_max_states;
-  }
+  verify.exact_chain.n = opts.exact_n.value_or(verify.exact_chain.n);
+  verify.exact_chain.max_states =
+      opts.exact_max_states.value_or(verify.exact_chain.max_states);
 
   std::size_t errors = 0;
   std::size_t warnings = 0;

@@ -4,65 +4,61 @@
 //   deproto-run --list                     show scenarios + sweep presets
 //   deproto-run <scenario> [options]       run one registered scenario
 //   deproto-run --spec spec.json [options] run a ScenarioSpec from a file
+//   deproto-run --ode <file|-> [options]   synthesize and run ODE text
+//                                          (ode/parser.hpp; - = stdin)
 //   deproto-run --sweep <preset|file>      run a SweepSpec (see --list)
 //   deproto-run --smoke                    scenario x backend matrix
+//
+// A single run prints each pipeline stage as it completes: the parsed
+// system and taxonomy, the machine with its notes and mean-field verdict,
+// then the population table. --ode runs a default ScenarioSpec (N 1000,
+// 100 periods, seed 1); `--ode f --spec-out s.json` writes it out to edit
+// the synthesis options (p, failure rate, auto-rewrite, tokenizing).
 //
 // Options:
 //   --n <N>            override the group size (initial counts rescale)
 //   --periods <k>      override the simulation length
 //   --seed <s>         override the simulation seed
-//   --backend <b>      override the execution backend
-//                      (sync | event | count | net | auto; auto picks count
-//                      at N >= 100000, sync below; net runs real UDP
-//                      sockets on loopback, N <= 1024)
+//   --backend <b>      override the execution backend: sync | event |
+//                      count | net | auto (count at N >= 100000, else
+//                      sync); net runs real UDP loopback sockets, N <= 1024
 //   --threads <T>      sweep/smoke worker threads (0 = all cores)
-//   --dispatch <W>     sweep/smoke: execute jobs across W worker
-//                      *processes* (fork/exec of this binary with
-//                      --worker) instead of in-process threads; output
-//                      is byte-identical to --threads 1, and workers
-//                      that crash or hang are replaced with their jobs
-//                      reassigned
-//   --worker           internal: run the worker loop (job frames on
-//                      stdin, result frames on stdout); spawned by
-//                      --dispatch, exposed for tests and debugging
-//   --worker-heartbeat-ms <ms>  dispatch: how often workers report
-//                      liveness (default 500; 0 disables heartbeats
-//                      and hang detection)
-//   --repeat <k>       replicates: lifts a scenario into a sweep, or
+//   --dispatch <W>     sweep/smoke: run jobs in W worker *processes*
+//                      (this binary with --worker) instead of threads;
+//                      output is byte-identical to --threads 1, and a
+//                      worker that crashes or hangs is replaced
+//   --worker           internal: the worker loop (job frames on stdin,
+//                      result frames on stdout) that --dispatch spawns
+//   --worker-heartbeat-ms <ms>  dispatch: worker liveness interval
+//                      (default 500; 0 disables hang detection)
+//   --repeat <k>       replicates: lifts a single source into a sweep, or
 //                      overrides a sweep's replicate count
-//   --bisect <field>   adaptive threshold search instead of one run:
-//                      bisect the numeric axis field (any
-//                      sweep_axis_fields() name, e.g. runtime.
-//                      message_loss or faults.churn.max_rate) for the
-//                      value where the convergence verdict flips from
-//                      absorbed to not -- the destabilization threshold.
-//                      With --sweep, runs the sweep first and seeds the
-//                      bracket from its per-point absorbed means
-//                      (api::bracket_from_sweep), so the refine starts
-//                      from the already-run grid instead of cold
-//   --bisect-lo <v>    bisection bracket (defaults 0 .. 1); the verdict
-//   --bisect-hi <v>    is expected to hold at lo and fail at hi. With
-//                      --sweep these override the grid-seeded bracket
-//   --bisect-iters <k> midpoint evaluations after the endpoint checks
-//                      (default 12)
-//   --bisect-tol <t>   stop early once hi - lo <= t (default 0: iterate
-//                      to --bisect-iters)
-//   --json <file>      single run: the ExperimentResult as JSON;
-//                      sweep: the deterministic aggregated SweepResult
-//                      (timing goes to stdout, not into the file)
-//   --jsonl <file>     sweep: stream one result line per job, in job
-//                      order (byte-identical for any --threads)
-//   --cache <dir>      sweep/smoke: content-addressed result cache --
-//                      jobs whose spec already has a memoized result
-//                      replay it instead of executing (defaults to
+//   --bisect <field>   instead of one run, bisect a numeric axis field
+//                      (a sweep_axis_fields() name, e.g.
+//                      runtime.message_loss) for the value where the run
+//                      stops being absorbed -- the destabilization
+//                      threshold. With --sweep, the sweep runs first and
+//                      seeds the bracket (api::bracket_from_sweep)
+//   --bisect-lo <v>    bisection bracket (defaults 0 .. 1; with --sweep
+//   --bisect-hi <v>    they override the seeded one): absorbed at lo,
+//                      not at hi
+//   --bisect-iters <k> midpoint evaluations (default 12)
+//   --bisect-tol <t>   stop once hi - lo <= t (default 0)
+//   --json <file>      the ExperimentResult, or the aggregated
+//                      SweepResult, as deterministic JSON (no timing)
+//   --jsonl <file>     sweep: one result line per job, in job order
+//   --cache <dir>      sweep/smoke: content-addressed result cache; jobs
+//                      with a memoized result replay it (defaults to
 //                      $DEPROTO_CACHE_DIR when set)
 //   --no-cache         ignore --cache and $DEPROTO_CACHE_DIR
-//   --cache-gc         after the run, delete cache entries it did not
-//                      touch (stale points from edited sweeps)
-//   --cache-max-bytes <b>  bound the cache directory: evict the least
-//                      recently used entries as new results are stored
+//   --cache-gc         after the run, delete cache entries it did not touch
+//   --cache-max-bytes <b>  bound the cache directory (LRU eviction)
 //   --spec-out <file>  write the (resolved) Scenario/SweepSpec as JSON
 //   --quiet            suppress the population table / per-job lines
+//
+// Each flag belongs to the modes that read it (single run, sweep or
+// --repeat, bisect, smoke, worker, list); a flag given in a mode that
+// would ignore it is an error, like a malformed value (exit 2).
 //
 // Every scenario runs on any backend, and the sweep engine guarantees
 // results are ordered and aggregated by job index: the same sweep run
@@ -73,15 +69,16 @@
 //   deproto-run endemic-churn --backend event --n 1000 --json churn.json
 //   deproto-run --sweep fig11-convergence-vs-n --threads 8 --json out.json
 //   deproto-run lv-majority --repeat 5 --threads 2
+//   printf "x' = -x*y\ny' = x*y\n" | deproto-run --ode - --periods 20
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,6 +98,7 @@ namespace {
 using deproto::api::Experiment;
 using deproto::api::ExperimentResult;
 using deproto::api::JobOutcome;
+using deproto::api::Json;
 using deproto::api::ResultCache;
 using deproto::api::ScenarioSpec;
 using deproto::api::SuiteOptions;
@@ -108,10 +106,14 @@ using deproto::api::SuiteRunner;
 using deproto::api::SweepJob;
 using deproto::api::SweepResult;
 using deproto::api::SweepSpec;
+using deproto::cli::read_file;
+using deproto::cli::UsageError;
+using deproto::cli::write_file;
 
 struct CliOptions {
-  std::string scenario;
+  std::vector<std::string> scenarios;  // positional; exactly one is valid
   std::string spec_file;
+  std::string ode_file;
   std::string sweep;
   bool list = false;
   bool smoke = false;
@@ -139,170 +141,92 @@ struct CliOptions {
   std::optional<std::uint64_t> cache_max_bytes;
 };
 
+/// The modes of deproto-run, as bits of cli::Flag::modes. `--sweep
+/// --bisect` (sweep-seeded bisection) is kSweep | kBisect and accepts the
+/// flags of both.
+enum Mode : unsigned {
+  kSingle = 1u << 0,  // one <scenario>, --spec or --ode run
+  kSweep = 1u << 1,   // --sweep, or --repeat over a single source
+  kBisect = 1u << 2,
+  kSmoke = 1u << 3,
+  kWorker = 1u << 4,
+  kList = 1u << 5,
+};
+constexpr const char* kModeNames[] = {
+    "single-run", "sweep", "bisect", "smoke", "worker", "list",
+};
+constexpr unsigned kSource = kSingle | kSweep | kBisect;
+constexpr unsigned kPool = kSweep | kSmoke;
+
+unsigned run_mode(const CliOptions& o) {
+  if (o.worker) return kWorker;
+  if (o.smoke) return kSmoke;
+  if (o.list) return kList;
+  if (!o.sweep.empty()) return o.bisect.empty() ? kSweep : kSweep | kBisect;
+  if (!o.bisect.empty()) return kBisect;
+  return o.repeat.has_value() ? kSweep : kSingle;
+}
+
+deproto::cli::FlagTable flag_table(CliOptions* o) {
+  using deproto::cli::list_flag;
+  using deproto::cli::number_flag;
+  using deproto::cli::switch_flag;
+  using deproto::cli::text_flag;
+  const auto set_backend = [o](const std::string& name) {
+    try {
+      o->backend = deproto::api::backend_from_name(name);
+    } catch (const deproto::api::SpecError&) {
+      return false;
+    }
+    return true;
+  };
+  return deproto::cli::FlagTable({
+      switch_flag("--list", kList, &o->list),
+      switch_flag("--smoke", kSmoke, &o->smoke),
+      switch_flag("--worker", kWorker, &o->worker),
+      list_flag("<scenario>", kSource, &o->scenarios),
+      text_flag("--spec", kSource, &o->spec_file),
+      text_flag("--ode", kSource, &o->ode_file),
+      text_flag("--sweep", kSweep, &o->sweep),
+      number_flag<std::size_t>("--n", kSource, &o->n, 1),
+      number_flag<std::size_t>("--periods", kSource, &o->periods),
+      number_flag<std::uint64_t>("--seed", kSource, &o->seed),
+      {"--backend", kSource, true, set_backend},
+      number_flag<std::size_t>("--threads", kPool, &o->threads),
+      number_flag<std::size_t>("--dispatch", kPool, &o->dispatch, 1),
+      number_flag<int>("--worker-heartbeat-ms", kPool | kWorker,
+                       &o->worker_heartbeat_ms, 0, 3600 * 1000),
+      number_flag<std::size_t>("--repeat", kSweep, &o->repeat, 1),
+      text_flag("--bisect", kBisect, &o->bisect),
+      number_flag<double>("--bisect-lo", kBisect, &o->bisect_lo),
+      number_flag<double>("--bisect-hi", kBisect, &o->bisect_hi),
+      number_flag<std::size_t>("--bisect-iters", kBisect, &o->bisect_iters),
+      number_flag<double>("--bisect-tol", kBisect, &o->bisect_tol, 0.0),
+      text_flag("--json", kSource | kSmoke, &o->json_out),
+      text_flag("--jsonl", kPool, &o->jsonl_out),
+      text_flag("--cache", kPool | kWorker, &o->cache_dir),
+      switch_flag("--no-cache", kPool | kWorker, &o->no_cache),
+      switch_flag("--cache-gc", kPool, &o->cache_gc),
+      number_flag<std::uint64_t>("--cache-max-bytes", kPool | kWorker,
+                                 &o->cache_max_bytes),
+      text_flag("--spec-out", kSource, &o->spec_out),
+      switch_flag("--quiet", kSource, &o->quiet),
+  });
+}
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --list | --smoke | --worker | (<scenario> | "
-               "--spec f.json | --sweep preset|f.json) [--n N] [--periods k] "
-               "[--seed s] [--backend sync|event|count|net|auto] [--threads T] "
-               "[--dispatch W] [--worker-heartbeat-ms ms] [--repeat k] "
-               "[--bisect field [--bisect-lo v] [--bisect-hi v] "
+               "--spec f.json | --ode f|- | --sweep preset|f.json) [--n N] "
+               "[--periods k] [--seed s] [--backend sync|event|count|net|auto] "
+               "[--threads T] [--dispatch W] [--worker-heartbeat-ms ms] "
+               "[--repeat k] [--bisect field [--bisect-lo v] [--bisect-hi v] "
                "[--bisect-iters k] [--bisect-tol t]] "
                "[--json out.json] [--jsonl out.jsonl] [--cache dir] "
                "[--no-cache] [--cache-gc] [--cache-max-bytes b] "
                "[--spec-out out.json] [--quiet]\n",
                argv0);
   return 2;
-}
-
-bool parse_args(int argc, char** argv, CliOptions* options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag, std::string* out) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: missing value for %s\n", flag);
-        return false;
-      }
-      *out = argv[++i];
-      return true;
-    };
-    std::string value;
-    if (arg == "--list") {
-      options->list = true;
-    } else if (arg == "--smoke") {
-      options->smoke = true;
-    } else if (arg == "--quiet") {
-      options->quiet = true;
-    } else if (arg == "--spec") {
-      if (!next("--spec", &options->spec_file)) return false;
-    } else if (arg == "--sweep") {
-      if (!next("--sweep", &options->sweep)) return false;
-    } else if (arg == "--json") {
-      if (!next("--json", &options->json_out)) return false;
-    } else if (arg == "--jsonl") {
-      if (!next("--jsonl", &options->jsonl_out)) return false;
-    } else if (arg == "--cache") {
-      if (!next("--cache", &options->cache_dir)) return false;
-    } else if (arg == "--no-cache") {
-      options->no_cache = true;
-    } else if (arg == "--cache-gc") {
-      options->cache_gc = true;
-    } else if (arg == "--cache-max-bytes") {
-      std::uint64_t max_bytes = 0;
-      if (!next("--cache-max-bytes", &value)) return false;
-      if (!deproto::cli::parse_u64(value, &max_bytes)) {
-        return deproto::cli::value_error("--cache-max-bytes",
-                                         "invalid byte count", value);
-      }
-      options->cache_max_bytes = max_bytes;
-    } else if (arg == "--spec-out") {
-      if (!next("--spec-out", &options->spec_out)) return false;
-    } else if (arg == "--threads") {
-      std::size_t threads = 0;
-      if (!next("--threads", &value)) return false;
-      if (!deproto::cli::parse_size(value, &threads)) {
-        return deproto::cli::value_error("--threads", "invalid thread count",
-                                         value);
-      }
-      options->threads = threads;
-    } else if (arg == "--dispatch") {
-      std::size_t workers = 0;
-      if (!next("--dispatch", &value)) return false;
-      if (!deproto::cli::parse_size(value, &workers) || workers == 0) {
-        return deproto::cli::value_error("--dispatch",
-                                         "invalid worker count", value);
-      }
-      options->dispatch = workers;
-    } else if (arg == "--worker") {
-      options->worker = true;
-    } else if (arg == "--worker-heartbeat-ms") {
-      std::uint64_t ms = 0;
-      if (!next("--worker-heartbeat-ms", &value)) return false;
-      if (!deproto::cli::parse_u64(value, &ms) || ms > 3600 * 1000) {
-        return deproto::cli::value_error("--worker-heartbeat-ms",
-                                         "invalid interval", value);
-      }
-      options->worker_heartbeat_ms = static_cast<int>(ms);
-    } else if (arg == "--repeat") {
-      std::size_t repeat = 0;
-      if (!next("--repeat", &value)) return false;
-      if (!deproto::cli::parse_size(value, &repeat) || repeat == 0) {
-        return deproto::cli::value_error("--repeat",
-                                         "invalid replicate count", value);
-      }
-      options->repeat = repeat;
-    } else if (arg == "--bisect") {
-      if (!next("--bisect", &options->bisect)) return false;
-    } else if (arg == "--bisect-lo") {
-      double lo = 0.0;
-      if (!next("--bisect-lo", &value)) return false;
-      if (!deproto::cli::parse_double(value, &lo)) {
-        return deproto::cli::value_error("--bisect-lo", "invalid bound",
-                                         value);
-      }
-      options->bisect_lo = lo;
-    } else if (arg == "--bisect-hi") {
-      double hi = 0.0;
-      if (!next("--bisect-hi", &value)) return false;
-      if (!deproto::cli::parse_double(value, &hi)) {
-        return deproto::cli::value_error("--bisect-hi", "invalid bound",
-                                         value);
-      }
-      options->bisect_hi = hi;
-    } else if (arg == "--bisect-iters") {
-      if (!next("--bisect-iters", &value)) return false;
-      if (!deproto::cli::parse_size(value, &options->bisect_iters)) {
-        return deproto::cli::value_error("--bisect-iters",
-                                         "invalid iteration count", value);
-      }
-    } else if (arg == "--bisect-tol") {
-      if (!next("--bisect-tol", &value)) return false;
-      if (!deproto::cli::parse_double(value, &options->bisect_tol) ||
-          options->bisect_tol < 0.0) {
-        return deproto::cli::value_error("--bisect-tol", "invalid tolerance",
-                                         value);
-      }
-    } else if (arg == "--n") {
-      std::size_t n = 0;
-      if (!next("--n", &value)) return false;
-      if (!deproto::cli::parse_size(value, &n) || n == 0) {
-        return deproto::cli::value_error("--n", "invalid group size", value);
-      }
-      options->n = n;
-    } else if (arg == "--periods") {
-      std::size_t periods = 0;
-      if (!next("--periods", &value)) return false;
-      if (!deproto::cli::parse_size(value, &periods)) {
-        return deproto::cli::value_error("--periods", "invalid period count",
-                                         value);
-      }
-      options->periods = periods;
-    } else if (arg == "--seed") {
-      std::uint64_t seed = 0;
-      if (!next("--seed", &value)) return false;
-      if (!deproto::cli::parse_u64(value, &seed)) {
-        return deproto::cli::value_error("--seed", "invalid seed", value);
-      }
-      options->seed = seed;
-    } else if (arg == "--backend") {
-      if (!next("--backend", &value)) return false;
-      try {
-        options->backend = deproto::api::backend_from_name(value);
-      } catch (const deproto::api::SpecError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return false;
-      }
-    } else if (!arg.empty() && arg[0] != '-') {
-      if (!options->scenario.empty()) {
-        std::fprintf(stderr, "error: more than one scenario given\n");
-        return false;
-      }
-      options->scenario = arg;
-    } else {
-      std::fprintf(stderr, "error: unknown flag: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
 }
 
 void list_registry() {
@@ -325,32 +249,46 @@ void list_registry() {
   }
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return false;
+const char* display_name(const std::string& name) {
+  return name.empty() ? "<unnamed>" : name.c_str();
+}
+
+/// The pipeline stages before the run, printed as each completes so a
+/// system that synthesis rejects still shows its parse and taxonomy
+/// diagnostics. --quiet keeps the one-line taxonomy and machine summaries.
+void print_stages(const ScenarioSpec& spec, Experiment& experiment,
+                  bool quiet) {
+  std::printf("scenario: %s (backend=%s, N=%zu, periods=%zu, seed=%llu)\n",
+              display_name(spec.name), deproto::api::backend_name(spec.backend),
+              spec.n, spec.periods, static_cast<unsigned long long>(spec.seed));
+  const Experiment::Resolved& resolved = experiment.resolved();
+  if (!quiet) {
+    std::printf("parsed system:\n%s", resolved.source.to_string().c_str());
   }
-  out << content << "\n";
-  return static_cast<bool>(out);
+  std::printf(
+      "taxonomy: complete=%s, completely-partitionable=%s, "
+      "restricted-polynomial=%s\n",
+      resolved.taxonomy.complete ? "yes" : "no",
+      resolved.taxonomy.completely_partitionable ? "yes" : "no",
+      resolved.taxonomy.restricted_polynomial ? "yes" : "no");
+  if (!quiet && !resolved.taxonomy.detail.empty()) {
+    std::printf("  %s\n", resolved.taxonomy.detail.c_str());
+  }
+
+  const Experiment::Artifacts& art = experiment.artifacts();
+  std::printf("machine: %zu states, p=%.4g, mean field %s\n",
+              art.synthesis.machine.num_states(), art.synthesis.p,
+              art.mean_field_verified ? "verified" : "MISMATCH");
+  if (!quiet) {
+    std::printf("%s", art.synthesis.machine.to_string().c_str());
+    for (const std::string& note : art.synthesis.notes) {
+      std::printf("note: %s\n", note.c_str());
+    }
+  }
 }
 
 void print_result(const ScenarioSpec& spec, const ExperimentResult& result,
                   bool quiet) {
-  std::printf("scenario: %s (backend=%s, N=%zu, periods=%zu, seed=%llu)\n",
-              spec.name.empty() ? "<unnamed>" : spec.name.c_str(),
-              deproto::api::backend_name(spec.backend), spec.n, spec.periods,
-              static_cast<unsigned long long>(spec.seed));
-  std::printf(
-      "taxonomy: complete=%s, completely-partitionable=%s, "
-      "restricted-polynomial=%s\n",
-      result.taxonomy.complete ? "yes" : "no",
-      result.taxonomy.completely_partitionable ? "yes" : "no",
-      result.taxonomy.restricted_polynomial ? "yes" : "no");
-  std::printf("machine: %zu states, p=%.4g, mean field %s\n",
-              result.state_names.size(), result.p,
-              result.mean_field_verified ? "verified" : "MISMATCH");
-
   if (!quiet) {
     std::printf("%10s", "period");
     for (const std::string& name : result.state_names) {
@@ -400,6 +338,16 @@ void print_result(const ScenarioSpec& spec, const ExperimentResult& result,
   }
 }
 
+/// Write the artifacts asked for: --json from `result_json()` and
+/// --spec-out from the Scenario/SweepSpec.
+bool write_artifacts(const CliOptions& options, const auto& result_json,
+                     const auto& spec) {
+  return (options.json_out.empty() ||
+          write_file(options.json_out, result_json().dump(2))) &&
+         (options.spec_out.empty() ||
+          write_file(options.spec_out, spec.to_json().dump(2)));
+}
+
 ScenarioSpec apply_overrides(ScenarioSpec spec, const CliOptions& options) {
   if (options.n.has_value()) spec = spec.scaled_to(*options.n);
   if (options.periods.has_value()) spec.periods = *options.periods;
@@ -410,23 +358,16 @@ ScenarioSpec apply_overrides(ScenarioSpec spec, const CliOptions& options) {
 
 int run_one(const ScenarioSpec& spec, const CliOptions& options) {
   Experiment experiment(spec);
+  print_stages(spec, experiment, options.quiet);
   const ExperimentResult result = experiment.run();
   print_result(spec, result, options.quiet);
   if (!options.quiet) {
     std::printf("elapsed: %.3fs\n", result.elapsed_seconds);
   }
-  // The JSON artifact is the deterministic form (timing stays on
-  // stdout), so rerunning the same spec rewrites an identical file.
-  if (!options.json_out.empty() &&
-      !write_file(options.json_out,
-                  result.to_json(/*include_timing=*/false).dump(2))) {
-    return 1;
-  }
-  if (!options.spec_out.empty() &&
-      !write_file(options.spec_out, spec.to_json().dump(2))) {
-    return 1;
-  }
-  return 0;
+  // The deterministic JSON form: timing stays on stdout, so rerunning the
+  // same spec rewrites an identical file.
+  const auto json = [&] { return result.to_json(/*include_timing=*/false); };
+  return write_artifacts(options, json, spec) ? 0 : 1;
 }
 
 /// --bisect: adaptive threshold search on one numeric axis field. The
@@ -467,29 +408,22 @@ int run_bisect(const ScenarioSpec& spec, const CliOptions& options) {
   bisect.tolerance = options.bisect_tol;
   if (!options.quiet) {
     std::printf("bisect %s on %s over [%.12g, %.12g]\n",
-                options.bisect.c_str(), spec.name.c_str(), bisect.lo,
+                options.bisect.c_str(), display_name(spec.name), bisect.lo,
                 bisect.hi);
   }
   const deproto::api::BisectResult result =
       refine_threshold(spec, options, bisect);
-  if (!options.json_out.empty()) {
-    const deproto::api::Json j =
-        deproto::api::Json::object()
-            .set("scenario", deproto::api::Json::string(spec.name))
-            .set("field", deproto::api::Json::string(options.bisect))
-            .set("lo", deproto::api::Json::number(result.lo))
-            .set("hi", deproto::api::Json::number(result.hi))
-            .set("threshold", deproto::api::Json::number(result.threshold))
-            .set("evaluations",
-                 deproto::api::Json::number(result.evaluations))
-            .set("bracketed", deproto::api::Json::boolean(result.bracketed));
-    if (!write_file(options.json_out, j.dump(2))) return 1;
-  }
-  if (!options.spec_out.empty() &&
-      !write_file(options.spec_out, spec.to_json().dump(2))) {
-    return 1;
-  }
-  return 0;
+  const auto json = [&] {
+    return Json::object()
+        .set("scenario", Json::string(spec.name))
+        .set("field", Json::string(options.bisect))
+        .set("lo", Json::number(result.lo))
+        .set("hi", Json::number(result.hi))
+        .set("threshold", Json::number(result.threshold))
+        .set("evaluations", Json::number(result.evaluations))
+        .set("bracketed", Json::boolean(result.bracketed));
+  };
+  return write_artifacts(options, json, spec) ? 0 : 1;
 }
 
 std::string coords_label(const deproto::api::SweepCoords& coords) {
@@ -503,22 +437,18 @@ std::string coords_label(const deproto::api::SweepCoords& coords) {
 
 /// Resolve the result cache from --cache / $DEPROTO_CACHE_DIR; nullptr
 /// when caching is off (no directory named, or --no-cache). Throws
-/// SpecError (caught in main) when the directory cannot be created or
-/// --cache-gc was asked for with no cache to collect.
+/// UsageError when --cache-gc or --cache-max-bytes has no cache to act on,
+/// and SpecError when the directory cannot be created.
 std::unique_ptr<ResultCache> open_cache(const CliOptions& options) {
   std::string dir = options.no_cache ? std::string() : options.cache_dir;
   if (dir.empty() && !options.no_cache) {
     if (const char* env = std::getenv("DEPROTO_CACHE_DIR")) dir = env;
   }
   if (dir.empty()) {
-    if (options.cache_gc) {
-      throw deproto::api::SpecError(
-          "--cache-gc needs a cache (--cache <dir> or $DEPROTO_CACHE_DIR)");
-    }
-    if (options.cache_max_bytes.has_value()) {
-      throw deproto::api::SpecError(
-          "--cache-max-bytes needs a cache (--cache <dir> or "
-          "$DEPROTO_CACHE_DIR)");
+    if (options.cache_gc || options.cache_max_bytes.has_value()) {
+      throw UsageError(std::string(options.cache_gc ? "--cache-gc"
+                                                    : "--cache-max-bytes") +
+                       " needs a cache (--cache <dir> or $DEPROTO_CACHE_DIR)");
     }
     return nullptr;
   }
@@ -533,6 +463,19 @@ std::unique_ptr<ResultCache> open_cache(const CliOptions& options) {
 /// only resolves/creates the directory and prints the summary line.
 std::unique_ptr<ResultCache> configure_execution(const CliOptions& options,
                                                  SuiteOptions* suite) {
+  if (options.dispatch == 0 && options.worker_heartbeat_ms >= 0) {
+    throw UsageError("--worker-heartbeat-ms needs --dispatch");
+  }
+  if (options.dispatch != 0 && options.threads != 0) {
+    throw UsageError(
+        "--dispatch shards jobs across worker processes; it cannot be "
+        "combined with --threads");
+  }
+  if (options.dispatch != 0 && options.cache_gc) {
+    throw UsageError(
+        "--cache-gc tracks entry touches in-process and cannot see "
+        "worker-process touches; run it without --dispatch");
+  }
   std::unique_ptr<ResultCache> cache = open_cache(options);
   if (options.dispatch == 0) {
     suite->threads = options.threads;
@@ -541,16 +484,6 @@ std::unique_ptr<ResultCache> configure_execution(const CliOptions& options,
       cache->set_max_bytes(*options.cache_max_bytes);
     }
     return cache;
-  }
-  if (options.threads != 0) {
-    throw deproto::api::SpecError(
-        "--dispatch shards jobs across worker processes; it cannot be "
-        "combined with --threads");
-  }
-  if (options.cache_gc) {
-    throw deproto::api::SpecError(
-        "--cache-gc tracks entry touches in-process and cannot see "
-        "worker-process touches; run it without --dispatch");
   }
   suite->dispatch.workers = options.dispatch;
   if (options.worker_heartbeat_ms >= 0) {
@@ -602,6 +535,24 @@ void finish_cache(const SweepResult& result, ResultCache* cache,
   }
 }
 
+/// Run a suite with the --jsonl sink (when `path` is set) attached;
+/// nullopt, after an error line, when the sink cannot be written.
+template <class Run>
+std::optional<SweepResult> run_with_jsonl(SuiteOptions suite,
+                                          const std::string& path, Run run) {
+  if (path.empty()) return run(SuiteRunner(suite));
+  std::ofstream jsonl(path);
+  suite.jsonl = &jsonl;
+  std::optional<SweepResult> result;
+  if (jsonl) result = run(SuiteRunner(suite));
+  jsonl.close();
+  if (!jsonl || result->jsonl_failed) {
+    std::fprintf(stderr, "error: writing %s failed\n", path.c_str());
+    return std::nullopt;
+  }
+  return result;
+}
+
 /// Execute a sweep through SuiteRunner: per-job progress lines and every
 /// sink in job-index order, per-point aggregates, then throughput. The
 /// --json document is the deterministic SweepResult form (no timing), so
@@ -612,10 +563,9 @@ int run_sweep(SweepSpec sweep, const CliOptions& options) {
 
   const std::size_t total_jobs = sweep.job_count();
   std::printf("sweep: %s  (%zu points x %zu replicates = %zu jobs)\n",
-              sweep.name.empty() ? "<unnamed>" : sweep.name.c_str(),
-              sweep.point_count(), sweep.replicates, total_jobs);
+              display_name(sweep.name), sweep.point_count(), sweep.replicates,
+              total_jobs);
 
-  std::ofstream jsonl;
   SuiteOptions suite;
   // Aggregates + sinks are the product here; each job's per-period
   // series is dropped as soon as it flushes, so long sweeps never hold
@@ -623,15 +573,6 @@ int run_sweep(SweepSpec sweep, const CliOptions& options) {
   suite.store_results = false;
   const std::unique_ptr<ResultCache> cache =
       configure_execution(options, &suite);
-  if (!options.jsonl_out.empty()) {
-    jsonl.open(options.jsonl_out);
-    if (!jsonl) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   options.jsonl_out.c_str());
-      return 1;
-    }
-    suite.jsonl = &jsonl;
-  }
   if (!options.quiet) {
     suite.on_result = [total_jobs](const JobOutcome& outcome) {
       const std::string status =
@@ -643,12 +584,11 @@ int run_sweep(SweepSpec sweep, const CliOptions& options) {
     };
   }
 
-  const SweepResult result = SuiteRunner(suite).run(sweep);
-  if (result.jsonl_failed || (suite.jsonl != nullptr && !jsonl.good())) {
-    std::fprintf(stderr, "error: writing %s failed (disk full?)\n",
-                 options.jsonl_out.c_str());
-    return 1;
-  }
+  const std::optional<SweepResult> ran = run_with_jsonl(
+      suite, options.jsonl_out,
+      [&](const SuiteRunner& runner) { return runner.run(sweep); });
+  if (!ran.has_value()) return 1;
+  const SweepResult& result = *ran;
 
   std::printf("\n%-44s %4s %12s %12s %10s\n", "point", "reps",
               "settle-time", "dominant", "alive");
@@ -678,16 +618,10 @@ int run_sweep(SweepSpec sweep, const CliOptions& options) {
                    outcome.job.spec.name.c_str(), outcome.error.c_str());
     }
   }
-  if (!options.json_out.empty() &&
-      !write_file(options.json_out,
-                  result.to_json(/*include_timing=*/false).dump(2))) {
+  const auto json = [&] { return result.to_json(/*include_timing=*/false); };
+  if (!write_artifacts(options, json, sweep) || result.jobs_failed != 0) {
     return 1;
   }
-  if (!options.spec_out.empty() &&
-      !write_file(options.spec_out, sweep.to_json().dump(2))) {
-    return 1;
-  }
-  if (result.jobs_failed != 0) return 1;
 
   if (!options.bisect.empty()) {
     // Sweep-seeded threshold refinement: the grid already localized the
@@ -713,8 +647,8 @@ int run_sweep(SweepSpec sweep, const CliOptions& options) {
     bisect.max_iterations = options.bisect_iters;
     bisect.tolerance = options.bisect_tol;
     std::printf("\nbisect %s on %s over [%.12g, %.12g]%s\n",
-                options.bisect.c_str(), sweep.base.name.c_str(), bisect.lo,
-                bisect.hi,
+                options.bisect.c_str(), display_name(sweep.base.name),
+                bisect.lo, bisect.hi,
                 seeded.has_value() && !explicit_bracket
                     ? " (bracket seeded from the grid)"
                     : "");
@@ -747,10 +681,9 @@ int run_smoke(const CliOptions& options) {
       SweepJob job;
       job.index = jobs.size();
       job.point = jobs.size();  // every combination is its own point
-      job.coords.emplace_back("scenario", deproto::api::Json::string(name));
+      job.coords.emplace_back("scenario", Json::string(name));
       job.coords.emplace_back(
-          "backend", deproto::api::Json::string(
-                         deproto::api::backend_name(backend)));
+          "backend", Json::string(deproto::api::backend_name(backend)));
       spec.name = name + "/" + deproto::api::backend_name(backend);
       job.spec = std::move(spec);
       jobs.push_back(std::move(job));
@@ -760,16 +693,6 @@ int run_smoke(const CliOptions& options) {
   SuiteOptions suite;
   const std::unique_ptr<ResultCache> cache =
       configure_execution(options, &suite);
-  std::ofstream jsonl;
-  if (!options.jsonl_out.empty()) {
-    jsonl.open(options.jsonl_out);
-    if (!jsonl) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   options.jsonl_out.c_str());
-      return 1;
-    }
-    suite.jsonl = &jsonl;
-  }
   std::printf("\n");
   const std::size_t expected = jobs.size();
   suite.on_result = [expected](const JobOutcome& outcome) {
@@ -778,13 +701,12 @@ int run_smoke(const CliOptions& options) {
                 outcome.ok ? (outcome.cached ? "ok (cached)" : "ok")
                            : outcome.error.c_str());
   };
-  const SweepResult result =
-      SuiteRunner(suite).run_jobs(std::move(jobs), "registry-smoke");
-  if (result.jsonl_failed || (suite.jsonl != nullptr && !jsonl.good())) {
-    std::fprintf(stderr, "error: writing %s failed (disk full?)\n",
-                 options.jsonl_out.c_str());
-    return 1;
-  }
+  const std::optional<SweepResult> ran =
+      run_with_jsonl(suite, options.jsonl_out, [&](const SuiteRunner& runner) {
+        return runner.run_jobs(std::move(jobs), "registry-smoke");
+      });
+  if (!ran.has_value()) return 1;
+  const SweepResult& result = *ran;
   print_dispatch(result);
   finish_cache(result, cache.get(), options.cache_gc);
   if (!options.json_out.empty() &&
@@ -816,25 +738,32 @@ int run_smoke(const CliOptions& options) {
   return 0;
 }
 
+/// The stderr prefix for an exception that ends a run (exit 1).
+const char* error_kind(const std::exception& e) {
+  if (dynamic_cast<const deproto::api::JsonError*>(&e)) return "json error";
+  if (dynamic_cast<const deproto::api::SpecError*>(&e)) return "spec error";
+  if (dynamic_cast<const deproto::ode::ParseError*>(&e)) return "parse error";
+  if (dynamic_cast<const deproto::core::SynthesisError*>(&e)) {
+    return "synthesis error";
+  }
+  return "error";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions options;
-  if (!parse_args(argc, argv, &options)) return usage(argv[0]);
+  deproto::cli::FlagTable flags = flag_table(&options);
+  if (!flags.parse(argc, argv)) return usage(argv[0]);
+  const unsigned mode = run_mode(options);
+  if (!flags.check_mode(mode, kModeNames[std::countr_zero(mode)])) {
+    return usage(argv[0]);
+  }
 
   try {
-    if (options.worker) {
-      // Worker mode owns stdin/stdout as the frame channel; it composes
-      // with --cache/--no-cache/--cache-max-bytes (forwarded by the
-      // dispatcher) and nothing else.
-      if (options.list || options.smoke || !options.scenario.empty() ||
-          !options.spec_file.empty() || !options.sweep.empty() ||
-          options.dispatch != 0) {
-        std::fprintf(
-            stderr,
-            "error: --worker is a standalone mode (frames on stdin/stdout)\n");
-        return 2;
-      }
+    if (mode == kWorker) {
+      // Worker mode owns stdin/stdout as the frame channel; the
+      // dispatcher forwards only the cache flags and the heartbeat.
       const std::unique_ptr<ResultCache> cache = open_cache(options);
       if (cache != nullptr && options.cache_max_bytes.has_value()) {
         cache->set_max_bytes(*options.cache_max_bytes);
@@ -844,16 +773,18 @@ int main(int argc, char** argv) {
       worker.cache = cache.get();
       return deproto::dist::run_worker(worker);
     }
-    if (options.smoke) return run_smoke(options);
-    if (options.list) {
+    if (mode == kSmoke) return run_smoke(options);
+    if (mode == kList) {
       list_registry();
       return 0;
     }
-    const int sources = (options.scenario.empty() ? 0 : 1) +
-                        (options.spec_file.empty() ? 0 : 1) +
-                        (options.sweep.empty() ? 0 : 1);
+    const std::size_t sources = options.scenarios.size() +
+                                (options.spec_file.empty() ? 0 : 1) +
+                                (options.ode_file.empty() ? 0 : 1) +
+                                (options.sweep.empty() ? 0 : 1);
     if (sources != 1) {
-      return usage(argv[0]);  // exactly one of scenario / --spec / --sweep
+      throw UsageError(
+          "give exactly one of <scenario>, --spec, --ode or --sweep");
     }
 
     if (!options.sweep.empty()) {
@@ -862,50 +793,24 @@ int main(int argc, char** argv) {
               deproto::api::sweep_registry_find(options.sweep)) {
         return run_sweep(*preset, options);
       }
-      std::ifstream in(options.sweep);
-      if (!in) {
-        std::fprintf(stderr,
-                     "error: %s is neither a sweep preset (--list) nor a "
-                     "readable file\n",
-                     options.sweep.c_str());
-        return 1;
-      }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
       return run_sweep(
-          SweepSpec::from_json(deproto::api::Json::parse(buffer.str())),
+          SweepSpec::from_json(Json::parse(read_file(options.sweep))),
           options);
     }
 
     ScenarioSpec spec;
     if (!options.spec_file.empty()) {
-      std::ifstream in(options.spec_file);
-      if (!in) {
-        std::fprintf(stderr, "error: cannot open %s\n",
-                     options.spec_file.c_str());
-        return 1;
-      }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      spec = ScenarioSpec::from_json(deproto::api::Json::parse(buffer.str()));
+      spec = ScenarioSpec::from_json(Json::parse(read_file(options.spec_file)));
+    } else if (!options.ode_file.empty()) {
+      spec.source.ode_text = read_file(options.ode_file);
     } else {
-      spec = deproto::api::registry_get(options.scenario);
+      spec = deproto::api::registry_get(options.scenarios.front());
     }
-    if (!options.bisect.empty()) {
-      if (options.repeat.has_value() || !options.jsonl_out.empty() ||
-          options.threads != 0 || options.dispatch != 0 ||
-          !options.cache_dir.empty() || options.cache_gc ||
-          options.cache_max_bytes.has_value()) {
-        std::fprintf(stderr,
-                     "error: --bisect runs a sequential threshold search; "
-                     "it composes with scenario/--spec and the run "
-                     "overrides only\n");
-        return 1;
-      }
+    if (mode == kBisect) {
       return run_bisect(apply_overrides(std::move(spec), options), options);
     }
-    if (options.repeat.has_value()) {
-      // --repeat lifts the single scenario into a replicate-only sweep:
+    if (mode == kSweep) {
+      // --repeat lifts the single source into a replicate-only sweep:
       // same spec, split-derived seeds, aggregated output.
       SweepSpec sweep;
       sweep.name = spec.name + "-x" + std::to_string(*options.repeat);
@@ -913,29 +818,13 @@ int main(int argc, char** argv) {
       sweep.replicates = *options.repeat;
       return run_sweep(std::move(sweep), options);
     }
-    // Pool/sink/cache flags only make sense for sweeps; rejecting them
-    // beats silently never creating the file (or cache) the caller asked
-    // for. An ambient $DEPROTO_CACHE_DIR is simply unused here.
-    if (!options.jsonl_out.empty() || options.threads != 0 ||
-        options.dispatch != 0 || !options.cache_dir.empty() ||
-        options.cache_gc || options.cache_max_bytes.has_value()) {
-      std::fprintf(stderr,
-                   "error: --jsonl/--threads/--dispatch/--cache/--cache-gc/"
-                   "--cache-max-bytes apply to --sweep, --smoke, or "
-                   "--repeat runs only\n");
-      return 1;
-    }
     return run_one(apply_overrides(std::move(spec), options), options);
-  } catch (const deproto::api::JsonError& e) {
-    std::fprintf(stderr, "json error: %s\n", e.what());
-  } catch (const deproto::api::SpecError& e) {
-    std::fprintf(stderr, "spec error: %s\n", e.what());
-  } catch (const deproto::ode::ParseError& e) {
-    std::fprintf(stderr, "parse error: %s\n", e.what());
-  } catch (const deproto::core::SynthesisError& e) {
-    std::fprintf(stderr, "synthesis error: %s\n", e.what());
-  } catch (const std::exception& e) {
+  } catch (const UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    return usage(argv[0]);
+  } catch (const std::exception& e) {
+    std::fflush(stdout);  // the stages printed so far come first
+    std::fprintf(stderr, "%s: %s\n", error_kind(e), e.what());
   }
   return 1;
 }
