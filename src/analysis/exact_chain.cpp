@@ -4,36 +4,30 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "core/action.hpp"
-#include "core/transition_model.hpp"
+#include "sim/count_period.hpp"
 
 namespace deproto::analysis {
 
 namespace {
 
-// The kernel construction below is a symbolic replay of
-// sim::CountSimulator::execute_period (fault-free, alive == n): every
-// Rng::binomial draw becomes a branch over the full pmf support, every
-// deterministic step stays deterministic, and the branch order matches
-// the simulator's batch order exactly -- token settlements before push
-// settlements, both in (state, action-position) order -- because the
-// `stayers` clamp makes the order observable.
-
-/// Binomial pmf over 0..n with the same degenerate clamps as
+/// Binomial pmf over 0..n into `pmf`, with the same degenerate clamps as
 /// Rng::binomial: p <= 0 puts all mass at 0, p >= 1 all mass at n.
 /// Computed in log space (protects q^n from underflow at p near 1) and
-/// normalized, so the returned masses sum to 1 to machine precision.
-std::vector<double> binomial_pmf(std::size_t n, double p,
-                                 const std::vector<double>& log_fact) {
-  std::vector<double> pmf(n + 1, 0.0);
+/// normalized, so the masses sum to 1 to machine precision.
+void binomial_pmf(std::size_t n, double p, const std::vector<double>& log_fact,
+                  std::vector<double>& pmf) {
+  pmf.assign(n + 1, 0.0);
   if (n == 0 || p <= 0.0) {
     pmf[0] = 1.0;
-    return pmf;
+    return;
   }
   if (p >= 1.0) {
     pmf[n] = 1.0;
-    return pmf;
+    return;
   }
   const double log_p = std::log(p);
   const double log_q = std::log1p(-p);
@@ -46,232 +40,100 @@ std::vector<double> binomial_pmf(std::size_t n, double p,
     total += pmf[k];
   }
   for (double& mass : pmf) mass /= total;
-  return pmf;
 }
 
-struct TokenBatch {
-  std::size_t token_state;
-  std::size_t to_state;
-  std::size_t generated;
-};
+/// One kernel row: sim::CountPeriod::run re-run once per outcome,
+/// depth-first over its draws. Each draw is a choice point over its
+/// binomial's support -- zero masses dropped, the clamped tail > cap
+/// merged into cap -- and a re-run replays the chosen prefix, opening a
+/// new choice point at its first outcome past it. Outcomes therefore come
+/// out in ascending-draw depth-first order, each with its probability
+/// multiplied root to leaf. `max_row_branches` is charged the pmf size per
+/// choice point and 1 per outcome.
+class RowEnumerator {
+ public:
+  RowEnumerator(sim::CountPeriod& period, const std::vector<double>& log_fact,
+                std::size_t max_row_branches)
+      : period_(period), log_fact_(log_fact), budget_(max_row_branches) {}
 
-struct PushBatch {
-  std::size_t target_state;
-  std::size_t to_state;
-  double coin_bias;
-  std::uint64_t contacts;
-};
+  /// Calls leaf(end_counts, probability) once per outcome of the period.
+  template <class Leaf>
+  void run(const std::vector<core::TransitionChannel>& channels,
+           const std::vector<std::size_t>& start, Leaf&& leaf) {
+    path_.clear();
+    outcomes_.clear();
+    branches_ = 0;
+    std::size_t depth = 0;
+    const auto draw = [&](std::uint64_t trials, double p,
+                          std::size_t cap) -> std::size_t {
+      if (depth == path_.size()) open(trials, p, cap, prob_at(depth));
+      return outcomes_[path_[depth++].at].first;
+    };
+    const auto ignore = [](std::size_t, std::size_t, std::size_t) {};
+    for (;;) {
+      depth = 0;
+      const std::vector<std::size_t>& counts =
+          period_.run(channels, start, draw, ignore, tally_);
+      charge(1);
+      leaf(counts, prob_at(path_.size()));
+      while (!path_.empty() && path_.back().at + 1 == path_.back().end) {
+        outcomes_.resize(path_.back().first);
+        path_.pop_back();
+      }
+      if (path_.empty()) return;
+      Choice& last = path_.back();
+      ++last.at;
+      last.prob = prob_at(path_.size() - 1) * outcomes_[last.at].second;
+    }
+  }
 
-/// One kernel row under construction: the shared inputs plus the mutable
-/// branch counter checked against the per-row budget.
-struct RowBuilder {
-  const core::ProtocolStateMachine& machine;
-  const ExactChainOptions& options;
-  const std::vector<double>& log_fact;
-  const std::vector<std::size_t>& start;
-  const std::vector<core::TransitionChannel>& channels;
-  std::vector<std::pair<std::vector<std::size_t>, double>>& sink;
-  std::size_t branches = 0;
+ private:
+  /// One open draw: its outcomes are outcomes_[first, end), the current
+  /// one is `at`, and `prob` is the path's probability through it.
+  struct Choice {
+    std::size_t first;
+    std::size_t end;
+    std::size_t at;
+    double prob;
+  };
+
+  [[nodiscard]] double prob_at(std::size_t depth) const {
+    return depth == 0 ? 1.0 : path_[depth - 1].prob;
+  }
+
+  void open(std::uint64_t trials, double p, std::size_t cap, double before) {
+    binomial_pmf(trials, p, log_fact_, pmf_);
+    charge(pmf_.size());
+    const std::size_t first = outcomes_.size();
+    for (std::size_t k = 0; k <= cap; ++k) {
+      double mass = pmf_[k];
+      if (k == cap) {
+        for (std::size_t d = cap + 1; d <= trials; ++d) mass += pmf_[d];
+      }
+      if (mass != 0.0) outcomes_.emplace_back(k, mass);
+    }
+    path_.push_back(Choice{first, outcomes_.size(), first,
+                           before * outcomes_[first].second});
+  }
 
   void charge(std::size_t cost) {
-    branches += cost;
-    if (branches > options.max_row_branches) {
+    branches_ += cost;
+    if (branches_ > budget_) {
       throw ExactChainBudgetError(
           "ExactChain: kernel row outcome expansion exceeds max_row_branches "
           "(" +
-          std::to_string(options.max_row_branches) + ")");
+          std::to_string(budget_) + ")");
     }
   }
 
-  /// Phase A/B: walk machine states in order, branching over each
-  /// stop-after-first-firing action chain.
-  void expand_state(std::size_t s, std::vector<std::size_t> moved_out,
-                    std::vector<std::size_t> moved_in,
-                    std::vector<TokenBatch> tokens,
-                    std::vector<PushBatch> pushes, double prob) {
-    const std::size_t m = machine.num_states();
-    if (s == m) {
-      std::vector<std::size_t> stayers(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        stayers[i] = start[i] - moved_out[i];
-      }
-      settle_tokens(0, tokens, pushes, std::move(stayers),
-                    std::move(moved_out), std::move(moved_in), prob);
-      return;
-    }
-    if (start[s] == 0) {
-      expand_state(s + 1, std::move(moved_out), std::move(moved_in),
-                   std::move(tokens), std::move(pushes), prob);
-      return;
-    }
-    expand_actions(s, 0, start[s], std::move(moved_out), std::move(moved_in),
-                   std::move(tokens), std::move(pushes), prob);
-  }
-
-  void expand_actions(std::size_t s, std::size_t pos, std::size_t remaining,
-                      std::vector<std::size_t> moved_out,
-                      std::vector<std::size_t> moved_in,
-                      std::vector<TokenBatch> tokens,
-                      std::vector<PushBatch> pushes, double prob) {
-    const std::vector<std::size_t>& order = machine.actions_of(s);
-    if (pos == order.size() || remaining == 0) {
-      expand_state(s + 1, std::move(moved_out), std::move(moved_in),
-                   std::move(tokens), std::move(pushes), prob);
-      return;
-    }
-    const std::size_t idx = order[pos];
-    const core::TransitionChannel& ch = channels[idx];
-    const core::Action& action = machine.actions()[idx];
-
-    if (ch.moves_executor) {
-      const std::vector<double> pmf =
-          binomial_pmf(remaining, ch.fire_prob, log_fact);
-      charge(pmf.size());
-      for (std::size_t fired = 0; fired <= remaining; ++fired) {
-        if (pmf[fired] == 0.0) continue;
-        std::vector<std::size_t> out = moved_out;
-        std::vector<std::size_t> in = moved_in;
-        out[s] += fired;
-        in[ch.to] += fired;
-        expand_actions(s, pos + 1, remaining - fired, std::move(out),
-                       std::move(in), tokens, pushes, prob * pmf[fired]);
-      }
-      return;
-    }
-    if (std::holds_alternative<core::TokenizingAction>(action)) {
-      const std::vector<double> pmf =
-          binomial_pmf(remaining, ch.fire_prob, log_fact);
-      charge(pmf.size());
-      for (std::size_t generated = 0; generated <= remaining; ++generated) {
-        if (pmf[generated] == 0.0) continue;
-        std::vector<TokenBatch> next = tokens;
-        if (generated > 0) {
-          next.push_back(TokenBatch{ch.from, ch.to, generated});
-        }
-        expand_actions(s, pos + 1, remaining, moved_out, moved_in,
-                       std::move(next), pushes, prob * pmf[generated]);
-      }
-      return;
-    }
-    // Push: the contact count is deterministic given the executors still
-    // in the chain; only the later conversion draw branches.
-    const auto& push = std::get<core::PushAction>(action);
-    const std::uint64_t contacts =
-        static_cast<std::uint64_t>(remaining) * push.fanout;
-    if (contacts > 0) {
-      pushes.push_back(PushBatch{push.target_state, push.to_state,
-                                 push.coin_bias, contacts});
-    }
-    expand_actions(s, pos + 1, remaining, std::move(moved_out),
-                   std::move(moved_in), std::move(tokens), std::move(pushes),
-                   prob);
-  }
-
-  /// Phase C, first half: token delivery in batch order. Directory mode
-  /// is deterministic; TTL mode branches over the delivery binomial with
-  /// the clamped tail aggregated (min(draw, stayers) merges every draw
-  /// beyond the available stayers into one outcome).
-  void settle_tokens(std::size_t b, const std::vector<TokenBatch>& tokens,
-                     const std::vector<PushBatch>& pushes,
-                     std::vector<std::size_t> stayers,
-                     std::vector<std::size_t> moved_out,
-                     std::vector<std::size_t> moved_in, double prob) {
-    if (b == tokens.size()) {
-      settle_pushes(0, pushes, std::move(stayers), std::move(moved_out),
-                    std::move(moved_in), prob);
-      return;
-    }
-    const TokenBatch& batch = tokens[b];
-    if (options.tokens.mode == sim::TokenRouting::Mode::Directory) {
-      const std::size_t delivered =
-          std::min(batch.generated, stayers[batch.token_state]);
-      stayers[batch.token_state] -= delivered;
-      moved_out[batch.token_state] += delivered;
-      moved_in[batch.to_state] += delivered;
-      settle_tokens(b + 1, tokens, pushes, std::move(stayers),
-                    std::move(moved_out), std::move(moved_in), prob);
-      return;
-    }
-    const double f = options.message_loss;
-    const double q = options.n > 0
-                         ? static_cast<double>(start[batch.token_state]) /
-                               static_cast<double>(options.n)
-                         : 0.0;
-    double p_deliver = 0.0;
-    double surviving = 1.0;
-    for (unsigned hop = 0; hop < options.tokens.ttl; ++hop) {
-      p_deliver += surviving * (1.0 - f) * q;
-      surviving *= (1.0 - f) * (1.0 - q);
-    }
-    const std::vector<double> pmf =
-        binomial_pmf(batch.generated, p_deliver, log_fact);
-    charge(pmf.size());
-    const std::size_t cap =
-        std::min(batch.generated, stayers[batch.token_state]);
-    for (std::size_t delivered = 0; delivered <= cap; ++delivered) {
-      double mass = pmf[delivered];
-      if (delivered == cap) {
-        for (std::size_t d = cap + 1; d <= batch.generated; ++d) {
-          mass += pmf[d];
-        }
-      }
-      if (mass == 0.0) continue;
-      std::vector<std::size_t> st = stayers;
-      std::vector<std::size_t> out = moved_out;
-      std::vector<std::size_t> in = moved_in;
-      st[batch.token_state] -= delivered;
-      out[batch.token_state] += delivered;
-      in[batch.to_state] += delivered;
-      settle_tokens(b + 1, tokens, pushes, std::move(st), std::move(out),
-                    std::move(in), prob * mass);
-    }
-  }
-
-  /// Phase C, second half: push conversions in batch order, then the
-  /// finished count vector lands in the row sink.
-  void settle_pushes(std::size_t b, const std::vector<PushBatch>& pushes,
-                     std::vector<std::size_t> stayers,
-                     std::vector<std::size_t> moved_out,
-                     std::vector<std::size_t> moved_in, double prob) {
-    // The simulator skips every push batch when n < 2.
-    if (b == pushes.size() || options.n < 2) {
-      const std::size_t m = machine.num_states();
-      std::vector<std::size_t> counts(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        counts[i] = start[i] - moved_out[i] + moved_in[i];
-      }
-      charge(1);
-      sink.emplace_back(std::move(counts), prob);
-      return;
-    }
-    const PushBatch& batch = pushes[b];
-    const std::size_t candidates = stayers[batch.target_state];
-    if (candidates == 0) {
-      settle_pushes(b + 1, pushes, std::move(stayers), std::move(moved_out),
-                    std::move(moved_in), prob);
-      return;
-    }
-    const double per_contact = (1.0 - options.message_loss) *
-                               batch.coin_bias /
-                               static_cast<double>(options.n - 1);
-    const double p_converted =
-        1.0 -
-        std::pow(1.0 - per_contact, static_cast<double>(batch.contacts));
-    const std::vector<double> pmf =
-        binomial_pmf(candidates, p_converted, log_fact);
-    charge(pmf.size());
-    for (std::size_t converted = 0; converted <= candidates; ++converted) {
-      if (pmf[converted] == 0.0) continue;
-      std::vector<std::size_t> st = stayers;
-      std::vector<std::size_t> out = moved_out;
-      std::vector<std::size_t> in = moved_in;
-      st[batch.target_state] -= converted;
-      out[batch.target_state] += converted;
-      in[batch.to_state] += converted;
-      settle_pushes(b + 1, pushes, std::move(st), std::move(out),
-                    std::move(in), prob * pmf[converted]);
-    }
-  }
+  sim::CountPeriod& period_;
+  const std::vector<double>& log_fact_;
+  std::size_t budget_;
+  std::size_t branches_ = 0;
+  std::vector<Choice> path_;
+  std::vector<std::pair<std::size_t, double>> outcomes_;  // (draw, mass)
+  std::vector<double> pmf_;
+  sim::CountTally tally_;  // probes and token traffic: unused here
 };
 
 }  // namespace
@@ -368,33 +230,23 @@ void ExactChain::build_kernel(const core::ProtocolStateMachine& machine) {
   for (std::size_t k = 2; k <= options_.n; ++k) {
     log_fact[k] = log_fact[k - 1] + std::log(static_cast<double>(k));
   }
+  sim::CountPeriod period(machine, options_.n, options_.message_loss,
+                          options_.tokens);
+  RowEnumerator enumerator(period, log_fact, options_.max_row_branches);
   rows_.resize(states_.size());
-  std::vector<std::pair<std::vector<std::size_t>, double>> sink;
   for (std::size_t r = 0; r < states_.size(); ++r) {
     const std::vector<std::size_t>& start = states_[r];
-    num::Vec hit(num_machine_states_, 0.0);
-    if (options_.n >= 2) {
-      const double denom = static_cast<double>(options_.n - 1);
-      for (std::size_t s = 0; s < num_machine_states_; ++s) {
-        hit[s] = static_cast<double>(start[s]) / denom;
-      }
-    }
-    const std::vector<core::TransitionChannel> channels =
-        core::transition_channels(machine, hit, options_.message_loss);
-
-    sink.clear();
-    RowBuilder builder{machine, options_, log_fact, start, channels, sink};
-    builder.expand_state(0, std::vector<std::size_t>(num_machine_states_, 0),
-                         std::vector<std::size_t>(num_machine_states_, 0),
-                         {}, {}, 1.0);
-
-    // Fold duplicate outcomes and store the row sparse and sorted.
     std::vector<std::pair<std::uint32_t, double>>& row = rows_[r];
     row.clear();
-    for (auto& [counts, prob] : sink) {
-      const std::optional<std::size_t> col = index_of(counts);
-      row.emplace_back(static_cast<std::uint32_t>(*col), prob);
-    }
+    enumerator.run(
+        sim::count_channels(machine, start, options_.n,
+                            options_.message_loss),
+        start, [&](const std::vector<std::size_t>& counts, double prob) {
+          row.emplace_back(static_cast<std::uint32_t>(*index_of(counts)),
+                           prob);
+        });
+
+    // Fold duplicate outcomes and store the row sparse and sorted.
     std::sort(row.begin(), row.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     std::size_t write = 0;

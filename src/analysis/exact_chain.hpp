@@ -6,12 +6,13 @@
 // about the mean field -- exact only as N goes to infinity -- ExactChain
 // enumerates the full lattice of population counts over the machine's
 // states (C(N+S-1, S-1) points) and constructs the exact one-period
-// transition kernel of sim::CountSimulator's fault-free dynamics: the
-// same core::transition_channels probabilities, the same sequential
-// binomial stop-after-first-firing chains, the same Jacobi token/push
-// settlement, convolved symbolically instead of sampled. Everything the
-// simulators can only estimate is then a linear-algebra question on a
-// sparse row-stochastic matrix:
+// transition kernel of sim::CountSimulator's fault-free dynamics. The
+// kernel *is* sim::CountPeriod (sim/count_period.hpp) -- the period rule
+// the count backend samples -- enumerated: the row of a count vector
+// re-runs that period once per outcome, every binomial draw branching
+// over its support instead of being sampled. Everything the simulators
+// can only estimate is then a linear-algebra question on a sparse
+// row-stochastic matrix:
 //
 //   * communicating classes (Tarjan SCC): exact recurrent / transient /
 //     absorbing classification, upgrading the reach.* occupancy fixpoint
@@ -53,7 +54,7 @@ struct ExactChainOptions {
   std::size_t max_row_branches = 4000000;
   /// Per-connection-attempt failure probability f (RuntimeOptions).
   double message_loss = 0.0;
-  /// Token routing mode/TTL, mirroring sim::CountSimOptions.
+  /// Token routing mode/TTL, as in sim::CountSimOptions.
   sim::TokenRouting tokens;
 };
 
@@ -155,7 +156,6 @@ class ExactChain {
  private:
   void enumerate_states();
   void build_kernel(const core::ProtocolStateMachine& machine);
-  void build_row(const core::ProtocolStateMachine& machine, std::size_t row);
   void compute_classes();
 
   ExactChainOptions options_;

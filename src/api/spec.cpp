@@ -291,46 +291,55 @@ ode::EquationSystem ScenarioSpec::resolve_source() const {
 ScenarioSpec ScenarioSpec::scaled_to(std::size_t new_n) const {
   ScenarioSpec scaled = *this;
   scaled.n = new_n;
-  if (!initial_counts.empty() && n > 0) {
-    const double ratio =
-        static_cast<double>(new_n) / static_cast<double>(n);
-    std::size_t assigned = 0;
-    scaled.initial_counts.clear();
-    for (const std::size_t c : initial_counts) {
-      std::size_t v = static_cast<std::size_t>(
-          std::llround(static_cast<double>(c) * ratio));
-      if (c > 0 && v == 0) v = 1;  // keep seeded states populated
-      scaled.initial_counts.push_back(v);
-      assigned += v;
-    }
-    // Rounding overshoot comes out of the largest entry that can spare a
-    // process without emptying a seeded state (entries pinned to 1 stay
-    // at 1). Unsatisfiable only when new_n < the number of nonzero
-    // states; then the largest entries give way after all.
-    while (assigned > new_n) {
-      auto it = scaled.initial_counts.end();
-      for (auto cur = scaled.initial_counts.begin();
-           cur != scaled.initial_counts.end(); ++cur) {
-        if (*cur > 1 && (it == scaled.initial_counts.end() || *cur > *it)) {
-          it = cur;
-        }
+  if (initial_counts.empty() || n == 0) return scaled;
+  std::vector<std::size_t>& counts = scaled.initial_counts;
+  const double ratio = static_cast<double>(new_n) / static_cast<double>(n);
+  // Near new_n = SIZE_MAX the entries can sum past 2^64: sum in 128 bits.
+  unsigned __int128 assigned = 0;
+  for (std::size_t& c : counts) {
+    // Round half away from zero (as llround) without its signed overflow.
+    const double x = std::round(static_cast<double>(c) * ratio);
+    std::size_t v = x < 0x1p64 ? static_cast<std::size_t>(x) : new_n;
+    if (c > 0 && v == 0) v = 1;  // keep seeded states populated
+    c = std::min(v, new_n);
+    assigned += c;
+  }
+  if (assigned > new_n) {
+    // Rounding overshoot comes off the largest entries, as if one process
+    // at a time from the first largest: level every entry down to the
+    // least level L >= 1 keeping >= new_n, then the first entries at L
+    // give up the rest. Entries pinned to 1 stay at 1 unless new_n < the
+    // number of nonzero states.
+    const auto kept = [&](std::size_t level) {
+      unsigned __int128 sum = 0;
+      for (const std::size_t c : counts) sum += std::min(c, level);
+      return sum;
+    };
+    std::size_t lo = 1;
+    std::size_t hi = *std::max_element(counts.begin(), counts.end());
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (kept(mid) >= new_n) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
       }
-      if (it == scaled.initial_counts.end()) {
-        it = std::max_element(scaled.initial_counts.begin(),
-                              scaled.initial_counts.end());
-        if (*it == 0) break;  // nothing left to take
-      }
-      --*it;
-      --assigned;
     }
+    auto extra = static_cast<std::size_t>(kept(lo) - new_n);
+    for (std::size_t& c : counts) {
+      if (c < lo) continue;
+      c = lo;
+      if (extra > 0) {
+        --c;
+        --extra;
+      }
+    }
+  } else {
     // Rounding undershoot tops up the largest entry (closest to the
     // intended proportions); without this, seed_states would silently
     // leave the shortfall in state 0.
-    while (assigned < new_n) {
-      ++*std::max_element(scaled.initial_counts.begin(),
-                          scaled.initial_counts.end());
-      ++assigned;
-    }
+    *std::max_element(counts.begin(), counts.end()) +=
+        static_cast<std::size_t>(new_n - assigned);
   }
   return scaled;
 }

@@ -52,6 +52,7 @@
 #include "sim/simulator.hpp"
 #include "sim/sync_sim.hpp"
 #include "sim/event_sim.hpp"
+#include "sim/count_period.hpp"
 #include "sim/count_sim.hpp"
 #include "sim/runtime.hpp"
 

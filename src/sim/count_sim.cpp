@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <variant>
 
-#include "core/action.hpp"
-#include "core/transition_model.hpp"
-#include "numerics/vector.hpp"
 #include "sim/fault_plan.hpp"
 
 namespace deproto::sim {
@@ -18,29 +14,18 @@ namespace {
 /// (fault_plan::Scheduler); revived processes enter here.
 constexpr std::size_t kRejoinState = 0;
 
-/// Probes the per-node executors charge for one attempt of `action`:
-/// messages_per_period minus the Tokenizing hand-off message (which the
-/// per-node backends account under token stats, not probes).
-std::uint64_t probes_of(const core::Action& action) {
-  const std::size_t messages = core::messages_per_period(action);
-  if (std::holds_alternative<core::TokenizingAction>(action)) {
-    return messages - 1;
-  }
-  return messages;
-}
-
 }  // namespace
 
 CountSimulator::CountSimulator(std::size_t n,
                                core::ProtocolStateMachine machine,
                                std::uint64_t seed, CountSimOptions options)
-    : machine_(std::move(machine)),
-      options_(options),
+    : options_(options),
       rng_(seed),
-      metrics_(machine_.num_states()),
+      metrics_(machine.num_states()),
       n_(n),
-      counts_(machine_.num_states(), 0),
-      alive_(n) {
+      counts_(machine.num_states(), 0),
+      alive_(n),
+      rule_(std::move(machine), n, options.message_loss, options.tokens) {
   if (!(options_.message_loss >= 0.0 && options_.message_loss <= 1.0)) {
     throw std::invalid_argument("CountSimulator: bad message_loss");
   }
@@ -165,145 +150,18 @@ void CountSimulator::apply_anonymous_events(
 
 void CountSimulator::execute_period(double t) {
   metrics_.begin_period(t);
-  const std::size_t m = counts_.size();
-
-  // Per-probe hit probabilities: a probe draws uniformly from the N-1
-  // other members of the maximal membership, dead targets are fruitless.
-  num::Vec hit(m, 0.0);
-  if (n_ >= 2) {
-    const double denom = static_cast<double>(n_ - 1);
-    for (std::size_t s = 0; s < m; ++s) {
-      hit[s] = static_cast<double>(counts_[s]) / denom;
-    }
-  }
-  const std::vector<core::TransitionChannel> channels =
-      core::transition_channels(machine_, hit, options_.message_loss);
-
-  // Jacobi sweep: all draws read the period-start counts.
-  const std::vector<std::size_t> start = counts_;
-  std::vector<std::size_t> moved_out(m, 0);
-  std::vector<std::size_t> moved_in(m, 0);
-
-  struct TokenBatch {
-    std::size_t token_state;
-    std::size_t to_state;
-    std::size_t generated;
-  };
-  struct PushBatch {
-    std::size_t target_state;
-    std::size_t to_state;
-    double coin_bias;
-    std::uint64_t contacts;
-  };
-  std::vector<TokenBatch> token_batches;
-  std::vector<PushBatch> push_batches;
-
-  for (std::size_t s = 0; s < m; ++s) {
-    std::size_t remaining = start[s];
-    if (remaining == 0) continue;
-    // Sequential binomial chain in actions_of order: a process that fires
-    // a self-transition stops executing, so each later action only sees
-    // the executors not yet moved (the per-node `break` semantics).
-    for (std::size_t idx : machine_.actions_of(s)) {
-      const core::TransitionChannel& ch = channels[idx];
-      const core::Action& action = machine_.actions()[idx];
-      probes_total_ +=
-          static_cast<std::uint64_t>(remaining) * probes_of(action);
-      if (ch.moves_executor) {
-        const std::size_t fired =
-            static_cast<std::size_t>(rng_.binomial(remaining, ch.fire_prob));
-        if (fired > 0) {
-          moved_out[s] += fired;
-          moved_in[ch.to] += fired;
-          metrics_.record_transitions(s, ch.to, fired);
-          remaining -= fired;
-        }
-      } else if (std::holds_alternative<core::TokenizingAction>(action)) {
-        const std::size_t generated =
-            static_cast<std::size_t>(rng_.binomial(remaining, ch.fire_prob));
-        tokens_.generated += generated;
-        if (generated > 0) {
-          token_batches.push_back(TokenBatch{ch.from, ch.to, generated});
-        }
-      } else {
-        const auto& push = std::get<core::PushAction>(action);
-        const auto contacts =
-            static_cast<std::uint64_t>(remaining) * push.fanout;
-        if (contacts > 0) {
-          push_batches.push_back(PushBatch{push.target_state, push.to_state,
-                                           push.coin_bias, contacts});
-        }
-      }
-      if (remaining == 0) break;
-    }
-  }
-
-  // Conversion targets still available: period-start members that no
-  // self-transition moved (token hand-offs and push contacts land on the
-  // period-start population, the Jacobi reading of the per-node races).
-  std::vector<std::size_t> stayers(m);
-  for (std::size_t s = 0; s < m; ++s) stayers[s] = start[s] - moved_out[s];
-
-  for (const TokenBatch& batch : token_batches) {
-    std::size_t delivered = 0;
-    if (options_.tokens.mode == TokenRouting::Mode::Directory) {
-      // Directory hand-off: a token drops only when the state is empty.
-      delivered = std::min(batch.generated, stayers[batch.token_state]);
-    } else {
-      // TTL-bounded random walk: each hop dies to loss with probability
-      // f, else lands on a token_state member with probability c / N.
-      const double f = options_.message_loss;
-      const double q =
-          n_ > 0 ? static_cast<double>(start[batch.token_state]) /
-                       static_cast<double>(n_)
-                 : 0.0;
-      double p_deliver = 0.0;
-      double surviving = 1.0;
-      for (unsigned hop = 0; hop < options_.tokens.ttl; ++hop) {
-        p_deliver += surviving * (1.0 - f) * q;
-        surviving *= (1.0 - f) * (1.0 - q);
-      }
-      delivered = std::min(
-          static_cast<std::size_t>(rng_.binomial(batch.generated, p_deliver)),
-          stayers[batch.token_state]);
-    }
-    stayers[batch.token_state] -= delivered;
-    moved_out[batch.token_state] += delivered;
-    moved_in[batch.to_state] += delivered;
-    if (delivered > 0) {
-      metrics_.record_transitions(batch.token_state, batch.to_state,
-                                  delivered);
-    }
-    tokens_.delivered += delivered;
-    tokens_.dropped += batch.generated - delivered;
-  }
-
-  for (const PushBatch& batch : push_batches) {
-    if (n_ < 2) break;
-    const std::size_t candidates = stayers[batch.target_state];
-    if (candidates == 0) continue;
-    // P(one target converted) = 1 - (1 - (1-f) * coin / (N-1))^contacts:
-    // each contact picks one of the N-1 others uniformly, survives loss,
-    // and flips the conversion coin.
-    const double per_contact = (1.0 - options_.message_loss) *
-                               batch.coin_bias /
-                               static_cast<double>(n_ - 1);
-    const double p_converted =
-        1.0 -
-        std::pow(1.0 - per_contact, static_cast<double>(batch.contacts));
-    const std::size_t converted =
-        static_cast<std::size_t>(rng_.binomial(candidates, p_converted));
-    if (converted == 0) continue;
-    stayers[batch.target_state] -= converted;
-    moved_out[batch.target_state] += converted;
-    moved_in[batch.to_state] += converted;
-    metrics_.record_transitions(batch.target_state, batch.to_state,
-                                converted);
-  }
-
-  for (std::size_t s = 0; s < m; ++s) {
-    counts_[s] = start[s] - moved_out[s] + moved_in[s];
-  }
+  const std::vector<core::TransitionChannel> channels = count_channels(
+      rule_.machine(), counts_, n_, options_.message_loss);
+  counts_ = rule_.run(
+      channels, counts_,
+      [this](std::uint64_t trials, double p, std::size_t cap) {
+        return std::min(static_cast<std::size_t>(rng_.binomial(trials, p)),
+                        cap);
+      },
+      [this](std::size_t from, std::size_t to, std::size_t k) {
+        metrics_.record_transitions(from, to, k);
+      },
+      tally_);
   metrics_.end_period(counts_, alive_);
 }
 

@@ -2,13 +2,15 @@
 
 // Count-based (structure-of-arrays) execution backend: the population is a
 // per-state count vector and one period costs O(states + actions) instead
-// of O(N). Transitions are batched binomial draws against the same
-// per-action firing probabilities the per-node backends realize probe by
-// probe (core::transition_channels evaluated at per-probe hit
-// probabilities c_s / (N-1)), so for large N the trajectory is the same
-// Markov chain up to the approximations below. This is the regime the
-// paper's mean-field theory licenses: above a crossover N the population
-// is fully described by its counts.
+// of O(N). A period is sim::CountPeriod (sim/count_period.hpp) sampled
+// with Rng::binomial: batched binomial draws against the same per-action
+// firing probabilities the per-node backends realize probe by probe
+// (core::transition_channels evaluated at per-probe hit probabilities
+// c_s / (N-1)), so for large N the trajectory is the same Markov chain up
+// to the approximations below. This is the regime the paper's mean-field
+// theory licenses: above a crossover N the population is fully described
+// by its counts. analysis::ExactChain enumerates the same CountPeriod, so
+// its kernel is this backend's fault-free period exactly.
 //
 // Approximations relative to the per-node backends (all O(1/N) or
 // fault-plan bookkeeping, none affecting count-level distributions for
@@ -36,6 +38,7 @@
 
 #include "core/state_machine.hpp"
 #include "sim/churn.hpp"
+#include "sim/count_period.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/runtime.hpp"
@@ -82,14 +85,14 @@ class CountSimulator final : public Simulator {
   }
 
   [[nodiscard]] const core::ProtocolStateMachine& machine() const noexcept {
-    return machine_;
+    return rule_.machine();
   }
   [[nodiscard]] const TokenStats& token_stats() const noexcept {
-    return tokens_;
+    return tally_.tokens;
   }
   /// Probes the per-node backends would have sent, assuming full fan-out.
   [[nodiscard]] std::uint64_t probes_total() const noexcept {
-    return probes_total_;
+    return tally_.probes;
   }
 
   /// Launch-time seeding (all processes alive): counts[s] processes start
@@ -125,7 +128,6 @@ class CountSimulator final : public Simulator {
                               std::size_t& next, double until);
   void execute_period(double t);
 
-  core::ProtocolStateMachine machine_;
   CountSimOptions options_;
   Rng rng_;
   MetricsCollector metrics_;
@@ -152,8 +154,8 @@ class CountSimulator final : public Simulator {
   /// sync backend would notice them: period -> processes due back.
   std::map<std::size_t, std::size_t> recoveries_;
 
-  TokenStats tokens_;
-  std::uint64_t probes_total_ = 0;
+  CountPeriod rule_;  // after counts_: it takes the machine by move
+  CountTally tally_;
 };
 
 }  // namespace deproto::sim

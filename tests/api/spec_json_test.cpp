@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "api/experiment.hpp"
 #include "api/registry.hpp"
 #include "api/spec.hpp"
@@ -284,6 +286,18 @@ TEST(SpecJsonTest, ScaledToTopsUpRoundingUndershoot) {
   std::size_t total = 0;
   for (const std::size_t c : up.initial_counts) total += c;
   EXPECT_EQ(total, 16U);
+}
+
+TEST(SpecJsonTest, ScaledToSizeMaxNeitherOverflowsNorSpins) {
+  // 9999 * (2^64 / 10000) lies past 2^63: a signed rounding overflows and
+  // a one-at-a-time fix-up would then run ~2^63 steps.
+  const std::size_t big = std::numeric_limits<std::size_t>::max();
+  const ScenarioSpec huge = registry_get("epidemic").scaled_to(big);
+  EXPECT_EQ(huge.n, big);
+  ASSERT_EQ(huge.initial_counts.size(), 2U);
+  EXPECT_GT(huge.initial_counts[0], 0U);  // seeded states stay populated
+  EXPECT_GT(huge.initial_counts[1], 0U);
+  EXPECT_EQ(huge.initial_counts[0], big - huge.initial_counts[1]);
 }
 
 }  // namespace

@@ -9,15 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "analysis/exact_chain.hpp"
 #include "api/registry.hpp"
 #include "api/spec.hpp"
 #include "core/synthesis.hpp"
+#include "ode/catalog.hpp"
 #include "sim/count_sim.hpp"
 
 namespace {
@@ -28,6 +32,7 @@ using deproto::analysis::ExactChainOptions;
 using deproto::api::ScenarioSpec;
 using deproto::sim::CountSimOptions;
 using deproto::sim::CountSimulator;
+using deproto::sim::TokenRouting;
 
 struct AbsorptionSample {
   std::size_t cls = 0;      // index into chain.classes()
@@ -62,6 +67,103 @@ AbsorptionSample run_until_absorbed(const ScenarioSpec& spec,
     }
     sim.run(1);
   }
+}
+
+/// P(X >= x) for X chi-square with `df` degrees of freedom: the
+/// regularized upper incomplete gamma Q(df/2, x/2), by its power series
+/// below a + 1 and by Lentz's continued fraction above.
+double chi_square_sf(double x, double df) {
+  const double a = df / 2.0;
+  const double z = x / 2.0;
+  if (z <= 0.0) return 1.0;
+  const double prefix = std::exp(a * std::log(z) - z - std::lgamma(a));
+  if (z < a + 1.0) {
+    double term = 1.0 / a;
+    double sum = term;
+    for (int k = 1; k < 10000 && term > sum * 1e-16; ++k) {
+      term *= z / (a + k);
+      sum += term;
+    }
+    return 1.0 - prefix * sum;
+  }
+  constexpr double kTiny = 1e-300;
+  double b = z + 1.0 - a;
+  double c = 1.0 / kTiny;
+  double d = 1.0 / b;
+  double h = d;
+  for (int i = 1; i < 10000; ++i) {
+    const double an = -i * (i - a);
+    b += 2.0;
+    d = an * d + b;
+    if (std::fabs(d) < kTiny) d = kTiny;
+    c = b + an / c;
+    if (std::fabs(c) < kTiny) c = kTiny;
+    d = 1.0 / d;
+    h *= d * c;
+    if (std::fabs(d * c - 1.0) < 1e-16) break;
+  }
+  return prefix * h;
+}
+
+/// G-test p-value of one-period CountSimulator outcomes from `start`
+/// (seeds 1..replicates) against the ExactChain row of that start. Bins
+/// with expected count < 5 are pooled into one (folded into the smallest
+/// bin when the pool itself stays under 5). A sampled outcome outside the
+/// row's support fails the test outright.
+double one_period_g_test_p(const deproto::core::ProtocolStateMachine& machine,
+                           const ExactChainOptions& options,
+                           const std::vector<std::size_t>& start,
+                           std::uint64_t replicates) {
+  const ExactChain chain(machine, options);
+  const auto& row = chain.row(chain.seeded_index(start));
+  std::vector<double> observed(row.size(), 0.0);
+  const CountSimOptions sim_options{.message_loss = options.message_loss,
+                                    .tokens = options.tokens};
+  std::vector<std::size_t> counts(machine.num_states());
+  for (std::uint64_t seed = 1; seed <= replicates; ++seed) {
+    CountSimulator sim(options.n, machine, seed, sim_options);
+    sim.seed_states(start);
+    sim.run(1);
+    for (std::size_t s = 0; s < counts.size(); ++s) counts[s] = sim.count(s);
+    const std::size_t col = *chain.index_of(counts);
+    const auto it = std::find_if(row.begin(), row.end(), [&](const auto& e) {
+      return e.first == col;
+    });
+    if (it == row.end()) {
+      ADD_FAILURE() << "seed " << seed
+                    << " sampled an outcome the exact row excludes";
+      return 0.0;
+    }
+    observed[static_cast<std::size_t>(it - row.begin())] += 1.0;
+  }
+
+  const auto r = static_cast<double>(replicates);
+  std::vector<std::pair<double, double>> bins;  // (observed, expected)
+  std::pair<double, double> pool{0.0, 0.0};
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    const double expected = row[i].second * r;
+    if (expected < 5.0) {
+      pool.first += observed[i];
+      pool.second += expected;
+    } else {
+      bins.emplace_back(observed[i], expected);
+    }
+  }
+  if (pool.second >= 5.0) {
+    bins.push_back(pool);
+  } else if (pool.second > 0.0) {
+    auto& smallest = *std::min_element(
+        bins.begin(), bins.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
+    smallest.first += pool.first;
+    smallest.second += pool.second;
+  }
+  EXPECT_GE(bins.size(), 3U) << "the row should spread over several bins";
+  double g = 0.0;
+  for (const auto& [o, e] : bins) {
+    if (o > 0.0) g += 2.0 * o * std::log(o / e);
+  }
+  return chi_square_sf(g, static_cast<double>(bins.size() - 1));
 }
 
 TEST(ExactPinningTest, LvSplitAbsorptionMatchesCountBackend) {
@@ -148,6 +250,33 @@ TEST(ExactPinningTest, EpidemicHittingTimeMatchesCountBackend) {
   EXPECT_NEAR(mean, t_exact, 5.0 * sigma_mean)
       << "empirical " << mean << " vs exact " << t_exact << " (sigma "
       << sigma_mean << ")";
+}
+
+TEST(ExactPinningTest, TtlTokenPeriodMatchesExactRow) {
+  // The invitation system synthesizes a Tokenizing action; under
+  // RandomWalkTtl each token batch is a binomial delivery draw clamped to
+  // the stayers of the token state, a path no registry scenario takes.
+  // 20000 sampled periods per start must fit the exact row (G-test). From
+  // {8, 4} at most 4 tokens chase 8 stayers, so the clamp never binds;
+  // from {2, 10} up to 10 chase 2, and the exact row merges the draws
+  // past the cap into the cap outcome.
+  const auto machine =
+      deproto::core::synthesize(deproto::ode::catalog::invitation(0.2))
+          .machine;
+  ASSERT_TRUE(std::any_of(
+      machine.actions().begin(), machine.actions().end(), [](const auto& a) {
+        return std::holds_alternative<deproto::core::TokenizingAction>(a);
+      }));
+  ExactChainOptions options;
+  options.n = 12;
+  options.message_loss = 0.1;
+  options.tokens = {.mode = TokenRouting::Mode::RandomWalkTtl, .ttl = 2};
+  for (const std::vector<std::size_t>& start :
+       {std::vector<std::size_t>{8, 4}, std::vector<std::size_t>{2, 10}}) {
+    const double p = one_period_g_test_p(machine, options, start, 20000);
+    EXPECT_GE(p, 1e-6) << "G-test p-value " << p << " from {" << start[0]
+                       << ", " << start[1] << "}";
+  }
 }
 
 }  // namespace
