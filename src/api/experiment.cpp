@@ -15,11 +15,11 @@ namespace deproto::api {
 
 namespace {
 
-/// Dominant state / fraction / absorption from the final populations; the
-/// settle time is filled in separately because the two series
-/// representations (vector<PeriodPoint> and the streaming mode's columnar
-/// history) walk their points differently.
-ConvergenceSummary summarize_final(
+/// Dominant state / fraction / absorption from the final populations, and
+/// the settle time: the start of the longest suffix of `series` over which
+/// the dominant count stayed within tolerance of its final value.
+ConvergenceSummary summarize_convergence(
+    const std::vector<PeriodPoint>& series,
     const std::vector<std::size_t>& final_counts, std::size_t final_alive) {
   ConvergenceSummary summary;
   if (final_counts.empty()) return summary;
@@ -33,53 +33,15 @@ ConvergenceSummary summarize_final(
                        : static_cast<double>(final_counts[best]) /
                              static_cast<double>(final_alive);
   summary.absorbed = final_alive > 0 && final_counts[best] == final_alive;
-  return summary;
-}
-
-/// Start of the longest suffix over which the dominant count stayed within
-/// tolerance of its final value. `count_at`/`time_at` abstract the series
-/// representation so the streamed and retained paths share one definition
-/// (byte-identical summaries are part of the dispatch determinism
-/// contract).
-template <typename CountAt, typename TimeAt>
-void fill_settle_time(ConvergenceSummary& summary, std::size_t points,
-                      const CountAt& count_at, const TimeAt& time_at,
-                      double final_value) {
+  const auto final_value = static_cast<double>(final_counts[best]);
   const double tol = std::max(2.0, 0.02 * final_value);
-  for (std::size_t i = points; i-- > 0;) {
-    if (std::abs(static_cast<double>(count_at(i)) - final_value) > tol) {
+  for (std::size_t i = series.size(); i-- > 0;) {
+    if (std::abs(static_cast<double>(series[i].counts[best]) - final_value) >
+        tol) {
       break;
     }
-    summary.settle_time = time_at(i);
+    summary.settle_time = series[i].time;
   }
-}
-
-ConvergenceSummary summarize_convergence(
-    const std::vector<PeriodPoint>& series,
-    const std::vector<std::size_t>& final_counts, std::size_t final_alive) {
-  ConvergenceSummary summary = summarize_final(final_counts, final_alive);
-  if (final_counts.empty()) return summary;
-  const std::size_t best = summary.dominant_state;
-  fill_settle_time(
-      summary, series.size(),
-      [&](std::size_t i) { return series[i].counts[best]; },
-      [&](std::size_t i) { return series[i].time; },
-      static_cast<double>(final_counts[best]));
-  return summary;
-}
-
-ConvergenceSummary summarize_convergence_columnar(
-    const std::vector<double>& times,
-    const std::vector<std::vector<std::size_t>>& count_columns,
-    const std::vector<std::size_t>& final_counts, std::size_t final_alive) {
-  ConvergenceSummary summary = summarize_final(final_counts, final_alive);
-  if (final_counts.empty()) return summary;
-  const std::size_t best = summary.dominant_state;
-  fill_settle_time(
-      summary, times.size(),
-      [&](std::size_t i) { return count_columns[best][i]; },
-      [&](std::size_t i) { return times[i]; },
-      static_cast<double>(final_counts[best]));
   return summary;
 }
 
@@ -312,6 +274,18 @@ ExperimentRun Experiment::launch() {
 }
 
 ExperimentRun Experiment::launch_impl() {
+  // Backend::Auto resolves here: count at or above the crossover N, sync
+  // below it.
+  const Backend backend = resolve_backend(spec_.backend, spec_.n);
+  // Checked before any per-node allocation: a per-node backend gives every
+  // process a sim::ProcessId, so a larger n cannot even be addressed.
+  if ((backend == Backend::Sync || backend == Backend::Event) &&
+      spec_.n > sim::kMaxGroupSize) {
+    throw SpecError("n = " + std::to_string(spec_.n) + " exceeds the " +
+                    std::to_string(sim::kMaxGroupSize) +
+                    " processes a per-node backend (" + backend_name(backend) +
+                    ") can address; larger populations need backend count");
+  }
   if (spec_.runtime.verify_static || spec_.runtime.verify_exact) {
     // Opt-in pre-flight: refuse to stand up a backend for a machine or
     // spec the static verifier rejects. Warnings and infos pass; they are
@@ -356,9 +330,6 @@ ExperimentRun Experiment::launch_impl() {
 
   // Stand up the backend. This is the only backend-specific block: from
   // here on the experiment is programmed purely through sim::Simulator.
-  // Backend::Auto resolves here: count at or above the crossover N, sync
-  // below it.
-  const Backend backend = resolve_backend(spec_.backend, spec_.n);
   if (backend == Backend::Sync) {
     run.executor_ =
         std::make_unique<sim::MachineExecutor>(machine, spec_.runtime);
@@ -437,38 +408,6 @@ void ExperimentRun::advance(std::size_t periods) {
   advanced_ += periods;
 }
 
-void ExperimentRun::stream_series(
-    std::function<void(const PeriodPoint&)> sink) {
-  if (advanced_ != 0) {
-    throw SpecError(
-        "stream_series: must be armed before the first advance() (earlier "
-        "periods were already retained)");
-  }
-  streaming_ = true;
-  stream_times_.clear();
-  stream_counts_.assign(simulator_->num_states(), {});
-  // The event and net simulators additionally sample at t = 0; that point
-  // duplicates initial_counts and is skipped, exactly as finish() skips it
-  // in the retained path.
-  simulator_->metrics().set_sample_sink(
-      [this, sink = std::move(sink),
-       skip_first = event_ != nullptr || net_ != nullptr](
-          const sim::PeriodSample& sample) mutable {
-        if (skip_first) {
-          skip_first = false;
-          return;
-        }
-        stream_times_.push_back(sample.time);
-        for (std::size_t s = 0; s < stream_counts_.size(); ++s) {
-          stream_counts_[s].push_back(sample.alive_in_state[s]);
-        }
-        if (sink) {
-          sink(PeriodPoint{sample.time, sample.alive_in_state,
-                           sample.total_alive});
-        }
-      });
-}
-
 ExperimentResult ExperimentRun::finish() {
   const Experiment::Artifacts& art = owner_->artifacts();
   const ScenarioSpec& spec = owner_->spec();
@@ -486,17 +425,14 @@ ExperimentResult ExperimentRun::finish() {
 
   // One series point per period on every backend. The event and net
   // simulators additionally sample at t = 0; that point duplicates
-  // initial_counts, so it is skipped here. In streaming mode every point
-  // already went to the sink, so result.series stays empty by design.
-  if (!streaming_) {
-    const std::vector<sim::PeriodSample>& samples =
-        simulator_->metrics().samples();
-    for (std::size_t i = (event_ != nullptr || net_ != nullptr ? 1 : 0);
-         i < samples.size(); ++i) {
-      const sim::PeriodSample& sample = samples[i];
-      result.series.push_back(PeriodPoint{sample.time, sample.alive_in_state,
-                                          sample.total_alive});
-    }
+  // initial_counts, so it is skipped here.
+  const std::vector<sim::PeriodSample>& samples =
+      simulator_->metrics().samples();
+  for (std::size_t i = (event_ != nullptr || net_ != nullptr ? 1 : 0);
+       i < samples.size(); ++i) {
+    const sim::PeriodSample& sample = samples[i];
+    result.series.push_back(PeriodPoint{sample.time, sample.alive_in_state,
+                                        sample.total_alive});
   }
 
   for (std::size_t s = 0; s < simulator_->num_states(); ++s) {
@@ -526,13 +462,8 @@ ExperimentResult ExperimentRun::finish() {
     result.messages_sent = event_->network().sent();
     result.messages_dropped = event_->network().dropped();
   }
-  result.convergence =
-      streaming_ ? summarize_convergence_columnar(stream_times_,
-                                                  stream_counts_,
-                                                  result.final_counts,
-                                                  result.final_alive)
-                 : summarize_convergence(result.series, result.final_counts,
-                                         result.final_alive);
+  result.convergence = summarize_convergence(
+      result.series, result.final_counts, result.final_alive);
   return result;
 }
 

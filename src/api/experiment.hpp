@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -126,18 +125,6 @@ class ExperimentRun {
 
   void advance(std::size_t periods);
 
-  /// Streaming series mode, the per-job memory budget for very long runs:
-  /// every completed period is converted to a PeriodPoint and handed to
-  /// `sink` instead of being retained (neither the simulator's metrics
-  /// collector nor the eventual result holds the full series -- a
-  /// 10^6-period job costs O(states) per period, not O(periods) trees).
-  /// finish() computes the same ConvergenceSummary from a compact columnar
-  /// count history and leaves result.series empty; the caller already owns
-  /// every point. Must be armed before the first advance(), on the run
-  /// object at its final address (the sink is wired to `this`), and a null
-  /// sink just discards points after the history is recorded.
-  void stream_series(std::function<void(const PeriodPoint&)> sink);
-
   /// Assemble the structured result from everything recorded so far.
   [[nodiscard]] ExperimentResult finish();
 
@@ -148,12 +135,6 @@ class ExperimentRun {
   Experiment* owner_;
   std::size_t advanced_ = 0;
   std::vector<std::size_t> initial_counts_;
-  // Streaming mode state: per-state count columns + times, the compact
-  // history finish() needs for the convergence summary when the full
-  // series was streamed away instead of retained.
-  bool streaming_ = false;
-  std::vector<double> stream_times_;
-  std::vector<std::vector<std::size_t>> stream_counts_;  // [state][period]
   // The backend, programmed exclusively through sim::Simulator. The
   // concrete pointers below are non-owning views for backend-specific
   // result stats (token/probe counters vs. network counters).

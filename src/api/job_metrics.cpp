@@ -4,7 +4,11 @@ namespace deproto::api::detail {
 
 std::vector<std::pair<std::string, double>> result_metrics(
     const ExperimentResult& r) {
+  // One allocation per job: the four convergence/population entries, one
+  // fraction per state, seven probe/token/message entries, and the four
+  // net-only ones.
   std::vector<std::pair<std::string, double>> m;
+  m.reserve(11 + r.state_names.size() + (r.net_stats.has_value() ? 4 : 0));
   m.emplace_back("settle_time", r.convergence.settle_time);
   m.emplace_back("dominant_fraction", r.convergence.dominant_fraction);
   m.emplace_back("absorbed", r.convergence.absorbed ? 1.0 : 0.0);
@@ -39,21 +43,6 @@ std::vector<std::pair<std::string, double>> result_metrics(
                    static_cast<double>(r.net_stats->duplicates));
   }
   return m;
-}
-
-Json metrics_to_json(
-    const std::vector<std::pair<std::string, double>>& metrics) {
-  Json j = Json::object();
-  for (const auto& [name, value] : metrics) j.set(name, Json::number(value));
-  return j;
-}
-
-std::vector<std::pair<std::string, double>> metrics_from_json(const Json& j) {
-  std::vector<std::pair<std::string, double>> metrics;
-  for (const auto& [name, value] : j.items()) {
-    metrics.emplace_back(name, value.as_number());
-  }
-  return metrics;
 }
 
 }  // namespace deproto::api::detail

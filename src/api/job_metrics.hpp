@@ -1,36 +1,24 @@
 #pragma once
 
-// The fixed per-job metric vector shared by every consumer that folds
-// replicates into aggregates: SuiteRunner extracts it after each in-process
-// job, the cache memoizes it next to the result dump so warm replays skip
-// the body parse, and dispatch workers ship it in result-frame headers so
-// the dispatcher aggregates sweeps without ever parsing a result body.
-// One definition, because per-point aggregation and the cross-process
-// determinism contract both assume every replicate of a point yields the
-// same key sequence.
+// The fixed per-job metric vector that SuiteRunner extracts after each
+// job and folds into per-point aggregates. One definition, because
+// per-point aggregation assumes every replicate of a point yields the same
+// key sequence.
 
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/experiment.hpp"
-#include "api/json.hpp"
 
 namespace deproto::api::detail {
 
 /// The metric vector (name, value) extracted from one successful result,
 /// in a fixed deterministic order: settle_time, dominant_fraction,
 /// absorbed, final_alive, final_fraction_<state>..., probes_total,
-/// tokens_*, messages_*. Never reads result.series, so it works on
-/// streamed results whose series was handed to a sink instead of retained.
+/// tokens_*, messages_*. Never reads result.series, so it can run after
+/// the series was dropped.
 [[nodiscard]] std::vector<std::pair<std::string, double>> result_metrics(
     const ExperimentResult& result);
-
-/// The vector as an insertion-ordered JSON object (the wire/cache form).
-/// Round-trips through metrics_from_json preserving order and values.
-[[nodiscard]] Json metrics_to_json(
-    const std::vector<std::pair<std::string, double>>& metrics);
-[[nodiscard]] std::vector<std::pair<std::string, double>> metrics_from_json(
-    const Json& j);
 
 }  // namespace deproto::api::detail

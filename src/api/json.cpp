@@ -11,8 +11,8 @@ namespace deproto::api {
 namespace {
 
 [[noreturn]] void type_error(const char* wanted, Json::Type got) {
-  static const char* const kNames[] = {"null",   "bool",  "number", "string",
-                                       "array",  "object", "raw"};
+  static const char* const kNames[] = {"null",  "bool",  "number",
+                                       "string", "array", "object"};
   throw JsonError(std::string("expected ") + wanted + ", got " +
                   kNames[static_cast<int>(got)]);
 }
@@ -306,13 +306,6 @@ Json Json::object() {
   return j;
 }
 
-Json Json::raw(std::string json_text) {
-  Json j;
-  j.type_ = Type::Raw;
-  j.string_ = std::move(json_text);
-  return j;
-}
-
 bool Json::as_bool() const {
   if (type_ != Type::Bool) type_error("bool", type_);
   return bool_;
@@ -422,9 +415,6 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     case Type::Bool: out += bool_ ? "true" : "false"; break;
     case Type::Number: append_number(out, number_); break;
     case Type::String: append_escaped(out, string_); break;
-    // Spliced verbatim: the caller vouches that the text is one complete
-    // JSON value (see Json::raw). Pretty-printing does not re-indent it.
-    case Type::Raw: out += string_; break;
     case Type::Array: {
       if (array_.empty()) {
         out += "[]";
@@ -470,12 +460,6 @@ Json Json::parse(const std::string& text) {
   return Parser(text).run();
 }
 
-std::string json_number_text(double v) {
-  std::string out;
-  append_number(out, v);
-  return out;
-}
-
 bool operator==(const Json& a, const Json& b) {
   if (a.type_ != b.type_) return false;
   switch (a.type_) {
@@ -485,7 +469,6 @@ bool operator==(const Json& a, const Json& b) {
     case Json::Type::String: return a.string_ == b.string_;
     case Json::Type::Array: return a.array_ == b.array_;
     case Json::Type::Object: return a.object_ == b.object_;
-    case Json::Type::Raw: return a.string_ == b.string_;
   }
   return false;
 }

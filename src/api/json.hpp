@@ -26,7 +26,7 @@ class JsonError : public std::runtime_error {
 
 class Json {
  public:
-  enum class Type { Null, Bool, Number, String, Array, Object, Raw };
+  enum class Type { Null, Bool, Number, String, Array, Object };
 
   using Array = std::vector<Json>;
   using Object = std::vector<std::pair<std::string, Json>>;
@@ -47,15 +47,6 @@ class Json {
   static Json string(std::string v);
   static Json array();
   static Json object();
-  /// Serialization-only splice node: dump() emits `json_text` verbatim in
-  /// place of a value. The caller owns the invariant that the text is one
-  /// complete canonical JSON value -- nothing validates it. This is how
-  /// the dist tier forwards multi-megabyte result documents between
-  /// processes (and streams series columns) without re-parsing them into
-  /// trees: build the small enclosing object normally and set() the big
-  /// value as raw text. Raw nodes never come out of parse(), and every
-  /// typed accessor throws on them.
-  static Json raw(std::string json_text);
 
   [[nodiscard]] Type type() const noexcept { return type_; }
   [[nodiscard]] bool is_null() const noexcept { return type_ == Type::Null; }
@@ -70,7 +61,6 @@ class Json {
   [[nodiscard]] bool is_object() const noexcept {
     return type_ == Type::Object;
   }
-  [[nodiscard]] bool is_raw() const noexcept { return type_ == Type::Raw; }
 
   /// Typed accessors; throw JsonError when the type does not match.
   /// Exception: as_number() on null returns NaN (null is how non-finite
@@ -119,12 +109,6 @@ class Json {
   Array array_;
   Object object_;
 };
-
-/// The canonical number encoding used by Json::dump (integers without a
-/// decimal point, %.17g otherwise, -0 as "0", non-finite as "null"),
-/// exposed so streaming serializers (dist workers emitting series columns
-/// point by point) produce bytes identical to a tree-built dump.
-[[nodiscard]] std::string json_number_text(double v);
 
 /// Population-count vectors appear in both spec and result documents;
 /// shared codec so the two serializations cannot diverge.

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/job_metrics.hpp"
 #include "api/json.hpp"
 
 namespace deproto::api {
@@ -152,52 +151,49 @@ std::filesystem::path ResultCache::entry_path(const std::string& key) const {
 
 ResultCache::EntryRead ResultCache::read_entry(
     const std::filesystem::path& path, const std::string& spec_dump,
-    CachedEntry* out) const {
+    ExperimentResult* out) const {
   try {
     std::ifstream in(path, std::ios::binary);
     if (!in) return EntryRead::Absent;
     std::ostringstream buffer;
     buffer << in.rdbuf();
     std::string contents = std::move(buffer).str();
-    // v2 entry: "<header json>\n<result dump>\n".
+    // Entry: "<header json>\n<result dump>\n".
     const std::size_t split = contents.find('\n');
     if (split == std::string::npos) return EntryRead::Corrupt;
     const Json header = Json::parse(contents.substr(0, split));
     // Self-verification: format, salt, and the full stored spec must
     // match. The spec comparison turns a (vanishingly unlikely) hash
     // collision into a miss instead of a silently wrong replay, and
-    // doubles as the stale-format check for v1 entries (single-line JSON
-    // with format == 1: header parse succeeds, format test fails).
+    // doubles as the stale-format check for older entries (their header
+    // parses, the format test fails).
     if (header.at("format").as_size() !=
             static_cast<std::size_t>(kFormatVersion) ||
         header.get_or("salt", std::string()) != salt_ ||
         header.at("spec").dump() != spec_dump) {
       return EntryRead::Corrupt;
     }
-    std::string dump = contents.substr(split + 1);
+    // What remains is the result dump, parsed in place (no second copy).
+    std::string& dump = contents.erase(0, split + 1);
     if (!dump.empty() && dump.back() == '\n') dump.pop_back();
-    // The warm path never parses the body, so integrity rests on the
-    // header's recorded byte count (catches truncation; torn writes are
-    // already impossible under tmp+rename) plus the canonical dump's
-    // fixed delimiters.
-    if (dump.size() != header.at("result_bytes").as_size() ||
-        dump.empty() || dump.front() != '{' || dump.back() != '}') {
+    // The header's recorded byte count catches a truncated body (torn
+    // writes are already impossible under tmp+rename).
+    if (dump.size() != header.at("result_bytes").as_size()) {
       return EntryRead::Corrupt;
     }
-    out->metrics = header.at("metrics");
-    out->result_dump = std::move(dump);
+    *out = ExperimentResult::from_json(Json::parse(dump));
     return EntryRead::Ok;
   } catch (const std::exception&) {
-    return EntryRead::Corrupt;  // unparseable or shape-mismatched header
+    return EntryRead::Corrupt;  // unparseable or shape-mismatched entry
   }
 }
 
-std::optional<CachedEntry> ResultCache::load_entry(const ScenarioSpec& spec) {
+std::optional<ExperimentResult> ResultCache::load(const ScenarioSpec& spec) {
   const std::string spec_dump = spec.to_json().dump();
   const std::filesystem::path path = entry_path(key_for_dump(spec_dump));
 
-  CachedEntry entry;
-  const EntryRead read = read_entry(path, spec_dump, &entry);
+  ExperimentResult result;
+  const EntryRead read = read_entry(path, spec_dump, &result);
 
   if (read == EntryRead::Ok) {
     // A hit is a use: refresh the entry's mtime so the LRU size bound
@@ -211,38 +207,17 @@ std::optional<CachedEntry> ResultCache::load_entry(const ScenarioSpec& spec) {
   if (read == EntryRead::Ok) {
     ++stats_.hits;
     used_.insert(path.filename().string());
-    return entry;
+    return result;
   }
   ++stats_.misses;
   if (read == EntryRead::Corrupt) ++stats_.corrupt;
   return std::nullopt;
 }
 
-std::optional<ExperimentResult> ResultCache::load(const ScenarioSpec& spec) {
-  std::optional<CachedEntry> entry = load_entry(spec);
-  if (!entry.has_value()) return std::nullopt;
-  try {
-    return ExperimentResult::from_json(Json::parse(entry->result_dump));
-  } catch (const std::exception&) {
-    // Header verified but the body did not parse: demote the counted hit
-    // to a corrupt miss so the accounting matches what the caller saw.
-    std::lock_guard<std::mutex> lock(mu_);
-    --stats_.hits;
-    ++stats_.misses;
-    ++stats_.corrupt;
-    return std::nullopt;
-  }
-}
-
 void ResultCache::store(const ScenarioSpec& spec,
                         const ExperimentResult& result) {
-  store_dump(spec, result.to_json(/*include_timing=*/false).dump(),
-             detail::metrics_to_json(detail::result_metrics(result)));
-}
-
-void ResultCache::store_dump(const ScenarioSpec& spec,
-                             const std::string& result_dump,
-                             const Json& metrics) {
+  const std::string result_dump =
+      result.to_json(/*include_timing=*/false).dump();
   Json spec_json = spec.to_json();
   const std::string key = key_for_dump(spec_json.dump());
   const std::filesystem::path path = entry_path(key);
@@ -254,7 +229,6 @@ void ResultCache::store_dump(const ScenarioSpec& spec,
   header.set("format", Json::number(kFormatVersion));
   header.set("salt", Json::string(salt_));
   header.set("spec", std::move(spec_json));
-  header.set("metrics", metrics);
   header.set("result_bytes", Json::number(result_dump.size()));
 
   // Unique tmp name per writer (pid x thread, so concurrent processes

@@ -15,17 +15,14 @@
 //   SuiteRunner(options).run(sweep);         // write-through-after
 //
 // Entries are self-describing two-line files named <key>.json: line one
-// is a header object (format version, salt, the full spec, the result's
-// pre-extracted metric vector, and the body's byte count), line two the
-// raw canonical result dump. The split exists for the dispatch tier's
-// warm path: load_entry() verifies the header and hands back the dump
-// verbatim -- a worker replays a multi-megabyte result without parsing
-// its body, because the dump IS the deterministic serialization. Anything
-// that fails to open, parse, or validate (truncated write, stale format,
-// salt mismatch, hash collision) is treated as a miss, re-run, and
-// atomically overwritten -- a corrupt cache can cost time, never
-// correctness. Failed jobs are never cached (they re-run every time,
-// counted as `skipped`).
+// is a header object (format version, salt, the full spec, and the body's
+// byte count), line two the canonical result dump. Anything that fails to
+// open, parse, or validate (truncated write, stale format, salt mismatch,
+// hash collision) is treated as a miss, re-run, and atomically
+// overwritten -- a corrupt cache can cost time, never correctness. Several
+// processes may share one directory: writes go through a per-writer tmp
+// file and an atomic rename. Failed jobs are never cached (they re-run
+// every time, counted as `skipped`).
 
 #include <cstddef>
 #include <cstdint>
@@ -36,7 +33,6 @@
 #include <unordered_set>
 
 #include "api/experiment.hpp"
-#include "api/json.hpp"
 #include "api/spec.hpp"
 
 namespace deproto::api {
@@ -58,24 +54,14 @@ struct CacheStats {
   friend bool operator==(const CacheStats&, const CacheStats&) = default;
 };
 
-/// A memoized entry in its on-disk form: the raw canonical result dump
-/// (ExperimentResult::to_json(false).dump(), never re-serialized) plus the
-/// metric vector extracted when it was stored. The dispatch tier's warm
-/// currency -- everything a worker must report about a job without
-/// parsing the result body.
-struct CachedEntry {
-  Json metrics;  ///< insertion-ordered object, detail::metrics_to_json form
-  std::string result_dump;
-};
-
 class ResultCache {
  public:
   /// Bumped whenever the key derivation or the cached payload shape
   /// changes incompatibly; every key hashes it, so a binary with a new
   /// format sees an old directory as all misses instead of bad replays.
-  /// v2: two-line entries (header + raw dump) carrying pre-extracted
-  /// metrics, enabling the parse-free load_entry() warm path.
-  static constexpr int kFormatVersion = 2;
+  /// v3: two-line entries (header + canonical dump); the header no
+  /// longer carries the job's metric vector.
+  static constexpr int kFormatVersion = 3;
 
   /// Opens (creating, with parents) the cache directory. `salt` is the
   /// user-level invalidation knob: any change to it -- new code revision,
@@ -103,26 +89,12 @@ class ResultCache {
   /// store() overwrites it. Thread-safe.
   [[nodiscard]] std::optional<ExperimentResult> load(const ScenarioSpec& spec);
 
-  /// load() without the body parse: header verification only, the result
-  /// dump returned verbatim. The dispatch worker's warm path -- hit
-  /// handling costs O(bytes copied), not O(JSON tree). Same miss/corrupt
-  /// accounting as load(). Thread-safe.
-  [[nodiscard]] std::optional<CachedEntry> load_entry(const ScenarioSpec& spec);
-
   /// Write-through-after: memoize a successful result under spec's key
   /// (atomic tmp-file + rename, so a crashed run never leaves a torn
   /// entry under the final name). Best-effort: I/O failures are swallowed
   /// -- the cache degrades to re-running, it never fails a sweep.
   /// Thread-safe.
   void store(const ScenarioSpec& spec, const ExperimentResult& result);
-
-  /// store() for callers that already hold the canonical dump (dispatch
-  /// workers stream the series straight into text and never build the
-  /// PeriodPoint tree): memoizes `result_dump` verbatim with `metrics`
-  /// alongside. The dump must be exactly to_json(false).dump() of the
-  /// result -- it is what load()/load_entry() replay.
-  void store_dump(const ScenarioSpec& spec, const std::string& result_dump,
-                  const Json& metrics);
 
   /// Record a job that ran and failed; failures are not memoized.
   void note_skipped();
@@ -155,11 +127,13 @@ class ResultCache {
   [[nodiscard]] std::string key_for_dump(const std::string& spec_dump) const;
   [[nodiscard]] std::filesystem::path entry_path(const std::string& key) const;
 
-  /// Read + verify one entry file against `spec_dump`, stats-free (the
-  /// public loaders translate the outcome into hit/miss/corrupt counts).
+  /// Read + verify one entry file against `spec_dump` and parse its
+  /// result, stats-free (load() translates the outcome into
+  /// hit/miss/corrupt counts).
   enum class EntryRead { Absent, Corrupt, Ok };
   EntryRead read_entry(const std::filesystem::path& path,
-                       const std::string& spec_dump, CachedEntry* out) const;
+                       const std::string& spec_dump,
+                       ExperimentResult* out) const;
 
   /// Rescan dir() and evict oldest-mtime entries (filename breaks ties,
   /// for determinism) until the total is within max_bytes_. Caller holds

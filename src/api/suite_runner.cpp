@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "api/job_metrics.hpp"
-#include "dist/dispatcher.hpp"
 
 namespace deproto::api {
 
@@ -21,10 +20,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
                                        start)
       .count();
 }
-
-}  // namespace
-
-namespace detail {
 
 Json coords_to_json(const SweepCoords& coords) {
   Json j = Json::object();
@@ -40,8 +35,9 @@ SweepCoords coords_from_json(const Json& j) {
   return coords;
 }
 
-Json jsonl_line(const JobOutcome& outcome, bool with_timing,
-                const std::string* raw_result) {
+/// One JSONL line for `outcome`: job identity, coords, and the result
+/// (or the error).
+Json jsonl_line(const JobOutcome& outcome, bool with_timing) {
   Json line = Json::object();
   line.set("job", Json::number(outcome.job.index));
   line.set("point", Json::number(outcome.job.point));
@@ -50,13 +46,7 @@ Json jsonl_line(const JobOutcome& outcome, bool with_timing,
   line.set("coords", coords_to_json(outcome.job.coords));
   line.set("ok", Json::boolean(outcome.ok));
   if (outcome.ok) {
-    if (raw_result != nullptr && !with_timing) {
-      // Dispatch mode: the worker already serialized the deterministic
-      // form; splice its bytes instead of re-building the tree.
-      line.set("result", Json::raw(*raw_result));
-    } else {
-      line.set("result", outcome.result.to_json(with_timing));
-    }
+    line.set("result", outcome.result.to_json(with_timing));
   } else {
     line.set("error", Json::string(outcome.error));
   }
@@ -66,77 +56,75 @@ Json jsonl_line(const JobOutcome& outcome, bool with_timing,
   return line;
 }
 
-void aggregate_points(
-    SweepResult& out,
-    const std::vector<std::vector<std::pair<std::string, double>>>&
-        metrics_by_job) {
-  // Aggregate per point, in job-index order, so floating-point folds are
-  // independent of the execution interleaving. The point-contiguity
-  // precondition (see the header) is enforced, not assumed: a shuffled
-  // job list would otherwise split points into duplicate summaries.
-  for (std::size_t i = 0; i < out.jobs.size(); ++i) {
-    const JobOutcome& outcome = out.jobs[i];
-    if (!outcome.ok) ++out.jobs_failed;
-    if (out.points.empty() || out.points.back().point != outcome.job.point) {
-      if (!out.points.empty() &&
-          outcome.job.point < out.points.back().point) {
-        throw SpecError(
-            "run_jobs: job list must be point-contiguous (job " +
-            std::to_string(i) + " revisits point " +
-            std::to_string(outcome.job.point) + ")");
-      }
+/// Folds outcomes into out.points and out.jobs_failed. Fed in job-index
+/// order, so the floating-point folds are independent of the execution
+/// interleaving; holds only the current point's replicate columns, so a
+/// sweep's metric vectors cost O(replicates), not O(jobs). Requires a
+/// point-contiguous job list (run_jobs checks it up front).
+class PointFolder {
+ public:
+  explicit PointFolder(SweepResult& out) : out_(out) {}
+  PointFolder(const PointFolder&) = delete;
+  PointFolder& operator=(const PointFolder&) = delete;
+
+  void add(const JobOutcome& outcome) {
+    if (!outcome.ok) ++out_.jobs_failed;
+    if (out_.points.empty() || out_.points.back().point != outcome.job.point) {
+      finish_point();
       PointSummary point;
       point.point = outcome.job.point;
       point.coords = outcome.job.coords;
-      out.points.push_back(std::move(point));
+      out_.points.push_back(std::move(point));
     }
-  }
-  // One forward pass folds replicate columns into each point (jobs are
-  // point-major contiguous, as the grouping loop above already relies
-  // on), keeping aggregation O(jobs) however many points a sweep has.
-  std::vector<std::pair<std::string, std::vector<double>>> columns;
-  std::vector<double> elapsed;
-  std::size_t pi = 0;
-  auto finalize_point = [&] {
-    PointSummary& point = out.points[pi];
-    for (auto& [name, values] : columns) {
-      point.metrics.emplace_back(name, Aggregate::of(values));
-    }
-    point.elapsed = Aggregate::of(elapsed);
-    columns.clear();
-    elapsed.clear();
-  };
-  for (std::size_t i = 0; i < out.jobs.size(); ++i) {
-    const JobOutcome& outcome = out.jobs[i];
-    if (outcome.job.point != out.points[pi].point) {
-      finalize_point();
-      ++pi;
-    }
-    elapsed.push_back(outcome.elapsed_seconds);
-    if (!outcome.ok) continue;
-    ++out.points[pi].replicates;
-    const auto& metrics = metrics_by_job[i];
-    if (columns.empty()) {
+    elapsed_.push_back(outcome.elapsed_seconds);
+    if (!outcome.ok) return;
+    ++out_.points.back().replicates;
+    const auto metrics = detail::result_metrics(outcome.result);
+    if (columns_.empty()) {
       for (const auto& [name, value] : metrics) {
-        columns.emplace_back(name, std::vector<double>{value});
+        columns_.emplace_back(name, std::vector<double>{value});
+      }
+    } else if (metrics.size() != columns_.size()) {
+      if (error_.empty()) {
+        error_ = "run_jobs: jobs sharing point " +
+                 std::to_string(outcome.job.point) +
+                 " produced different metric sets (specs within a point "
+                 "must have the same shape)";
       }
     } else {
-      if (metrics.size() != columns.size()) {
-        throw SpecError(
-            "run_jobs: jobs sharing point " +
-            std::to_string(outcome.job.point) +
-            " produced different metric sets (specs within a point must "
-            "have the same shape)");
-      }
       for (std::size_t m = 0; m < metrics.size(); ++m) {
-        columns[m].second.push_back(metrics[m].second);
+        columns_[m].second.push_back(metrics[m].second);
       }
     }
   }
-  if (!out.jobs.empty()) finalize_point();
-}
 
-}  // namespace detail
+  /// Closes the last point. Throws SpecError when the jobs of a point
+  /// produced different metric sets (recorded, not thrown, by add(), which
+  /// runs on the pool's threads).
+  void finish() {
+    finish_point();
+    if (!error_.empty()) throw SpecError(error_);
+  }
+
+ private:
+  void finish_point() {
+    if (out_.points.empty()) return;
+    PointSummary& point = out_.points.back();
+    for (auto& [name, values] : columns_) {
+      point.metrics.emplace_back(name, Aggregate::of(values));
+    }
+    point.elapsed = Aggregate::of(elapsed_);
+    columns_.clear();
+    elapsed_.clear();
+  }
+
+  SweepResult& out_;
+  std::vector<std::pair<std::string, std::vector<double>>> columns_;
+  std::vector<double> elapsed_;
+  std::string error_;
+};
+
+}  // namespace
 
 Aggregate Aggregate::of(const std::vector<double>& values) {
   Aggregate a;
@@ -198,7 +186,7 @@ Json SweepResult::to_json(bool include_timing) const {
   for (const PointSummary& point : points) {
     Json p = Json::object();
     p.set("point", Json::number(point.point));
-    p.set("coords", detail::coords_to_json(point.coords));
+    p.set("coords", coords_to_json(point.coords));
     p.set("replicates", Json::number(point.replicates));
     Json metrics = Json::object();
     for (const auto& [name, aggregate] : point.metrics) {
@@ -242,23 +230,6 @@ Json SweepResult::to_json(bool include_timing) const {
                          .set("stores", Json::number(cache.stores))
                          .set("skipped", Json::number(cache.skipped)));
     }
-    if (dispatch_enabled) {
-      // Same contract as cache: how the run executed, not what it
-      // computed, so dispatch counters ride with timing too.
-      Json busy = Json::array();
-      for (const double seconds : dispatch.worker_busy_seconds) {
-        busy.push(Json::number(seconds));
-      }
-      j.set("dispatch",
-            Json::object()
-                .set("workers", Json::number(dispatch.workers))
-                .set("jobs_dispatched", Json::number(dispatch.jobs_dispatched))
-                .set("jobs_retried", Json::number(dispatch.jobs_retried))
-                .set("jobs_reassigned", Json::number(dispatch.jobs_reassigned))
-                .set("worker_restarts", Json::number(dispatch.worker_restarts))
-                .set("frames_received", Json::number(dispatch.frames_received))
-                .set("worker_busy_seconds", std::move(busy)));
-    }
   }
   return j;
 }
@@ -271,7 +242,7 @@ SweepResult SweepResult::from_json(const Json& j) {
   for (const Json& e : j.at("points").elements()) {
     PointSummary point;
     point.point = e.at("point").as_size();
-    point.coords = detail::coords_from_json(e.at("coords"));
+    point.coords = coords_from_json(e.at("coords"));
     point.replicates = e.at("replicates").as_size();
     for (const auto& [name, aggregate] : e.at("metrics").items()) {
       point.metrics.emplace_back(name, Aggregate::from_json(aggregate));
@@ -315,21 +286,6 @@ SweepResult SweepResult::from_json(const Json& j) {
     r.cache.skipped =
         cache.contains("skipped") ? cache.at("skipped").as_size() : 0;
   }
-  if (j.contains("dispatch")) {
-    const Json& d = j.at("dispatch");
-    r.dispatch_enabled = true;
-    r.dispatch.workers = d.at("workers").as_size();
-    r.dispatch.jobs_dispatched = d.at("jobs_dispatched").as_size();
-    r.dispatch.jobs_retried = d.at("jobs_retried").as_size();
-    r.dispatch.jobs_reassigned = d.at("jobs_reassigned").as_size();
-    r.dispatch.worker_restarts = d.at("worker_restarts").as_size();
-    r.dispatch.frames_received = d.at("frames_received").as_size();
-    if (d.contains("worker_busy_seconds")) {
-      for (const Json& seconds : d.at("worker_busy_seconds").elements()) {
-        r.dispatch.worker_busy_seconds.push_back(seconds.as_number());
-      }
-    }
-  }
   return r;
 }
 
@@ -343,17 +299,17 @@ SweepResult SuiteRunner::run(const SweepSpec& sweep) const {
 
 SweepResult SuiteRunner::run_jobs(std::vector<SweepJob> jobs,
                                   const std::string& suite_name) const {
-  if (options_.dispatch.workers > 0) {
-    if (options_.cache != nullptr) {
-      throw SpecError(
-          "run_jobs: SuiteOptions::cache cannot be combined with dispatch "
-          "(an in-process cache handle does not cross the fork; pass the "
-          "cache directory to workers via dispatch.extra_worker_args)");
-    }
-    return dist::run_dispatched(std::move(jobs), suite_name, options_);
-  }
-
   const auto suite_start = std::chrono::steady_clock::now();
+  // The point-contiguity precondition (see the header) is enforced, not
+  // assumed: a shuffled job list would otherwise split points into
+  // duplicate summaries.
+  for (std::size_t i = 1; i < jobs.size(); ++i) {
+    if (jobs[i].point < jobs[i - 1].point) {
+      throw SpecError("run_jobs: job list must be point-contiguous (job " +
+                      std::to_string(i) + " revisits point " +
+                      std::to_string(jobs[i].point) + ")");
+    }
+  }
 
   std::size_t n_threads = options_.threads;
   if (n_threads == 0) {
@@ -376,11 +332,10 @@ SweepResult SuiteRunner::run_jobs(std::vector<SweepJob> jobs,
   // outcomes land in a slot vector; whichever worker extends the
   // completed prefix flushes it, so the JSONL sink and on_result hook
   // observe strict job-index order no matter which thread finished what.
-  // Metric vectors are extracted before the flush can drop the heavy
-  // per-period series (store_results == false streams at O(metrics) per
-  // job, not O(series)).
-  std::vector<std::vector<std::pair<std::string, double>>> metrics_by_job(
-      jobs.size());
+  // The flush also folds each outcome into its point's aggregates before
+  // it can drop the heavy per-period series (store_results == false
+  // streams at O(metrics) per job, not O(series)).
+  PointFolder folder(out);
   std::atomic<std::size_t> next{0};
   std::mutex mu;
   std::vector<char> done(jobs.size(), 0);
@@ -402,9 +357,8 @@ SweepResult SuiteRunner::run_jobs(std::vector<SweepJob> jobs,
                       // touches it now
       bool sink_failed = false;
       if (options_.jsonl != nullptr) {
-        *options_.jsonl
-            << detail::jsonl_line(outcome, options_.jsonl_timing).dump()
-            << '\n';
+        *options_.jsonl << jsonl_line(outcome, options_.jsonl_timing).dump()
+                        << '\n';
         // A full disk fails silently otherwise: the stream swallows the
         // short write and the run would report success over a truncated
         // file. Checked per line so the failure is caught while the run
@@ -412,6 +366,7 @@ SweepResult SuiteRunner::run_jobs(std::vector<SweepJob> jobs,
         sink_failed = !options_.jsonl->good();
       }
       if (options_.on_result) options_.on_result(outcome);
+      folder.add(outcome);
       if (!options_.store_results) outcome.result = ExperimentResult{};
       lock.lock();
       if (sink_failed) out.jsonl_failed = true;
@@ -452,9 +407,6 @@ SweepResult SuiteRunner::run_jobs(std::vector<SweepJob> jobs,
         if (options_.cache != nullptr) options_.cache->note_skipped();
       }
       outcome.elapsed_seconds = seconds_since(job_start);
-      if (outcome.ok) {
-        metrics_by_job[i] = detail::result_metrics(outcome.result);
-      }
 
       std::unique_lock<std::mutex> lock(mu);
       out.jobs[i] = std::move(outcome);
@@ -472,7 +424,7 @@ SweepResult SuiteRunner::run_jobs(std::vector<SweepJob> jobs,
     for (std::thread& t : pool) t.join();
   }
 
-  detail::aggregate_points(out, metrics_by_job);
+  folder.finish();
 
   // Surface buffered sink failures before the caller closes the stream
   // (an ofstream destructor would swallow them).

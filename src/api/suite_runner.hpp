@@ -67,57 +67,6 @@ struct PointSummary {
   friend bool operator==(const PointSummary&, const PointSummary&) = default;
 };
 
-/// Multi-process execution: SuiteRunner forks `workers` worker processes
-/// (dist::run_dispatched) instead of spawning threads, shards the job
-/// list across them with pull scheduling, and merges completions back in
-/// strict job-index order -- every sink sees bytes identical to a
-/// single-threaded in-process run. Workers that die or stop heartbeating
-/// are replaced and their in-flight job reassigned, up to `max_retries`
-/// re-dispatches per job before the job is recorded as failed.
-struct DispatchOptions {
-  /// Worker process count; 0 disables dispatch (the in-process thread
-  /// pool runs the suite). Like threads, never changes results.
-  std::size_t workers = 0;
-  /// Worker executable; it must understand the `--worker` protocol of
-  /// tools/deproto-run. Empty means this binary (/proc/self/exe), which
-  /// is the CLI case and what the integration tests use.
-  std::string worker_exe;
-  /// Extra argv appended after "--worker ..." when spawning each worker:
-  /// the CLI forwards `--cache <dir>` (and salt/bytes) here so workers
-  /// share one memoization directory; tests inject fault-injection flags.
-  std::vector<std::string> extra_worker_args;
-  /// Interval at which workers emit heartbeat frames; 0 disables them.
-  int heartbeat_ms = 500;
-  /// Silence (no frame of any kind) after which a busy worker is declared
-  /// hung, killed, and its job reassigned. 0 derives a conservative bound
-  /// from heartbeat_ms; hang detection is off entirely when heartbeats
-  /// are disabled and no explicit timeout is given, so legitimately long
-  /// jobs are never killed by default.
-  int heartbeat_timeout_ms = 0;
-  /// Re-dispatch budget per job: a job abandoned by dying workers this
-  /// many times beyond its first attempt is recorded as failed (with the
-  /// worker's fate in the error) instead of retried forever.
-  int max_retries = 2;
-  /// Test hook: observe each spawned worker (slot index, pid) -- the
-  /// kill-a-worker integration test aims its SIGKILL through this.
-  std::function<void(std::size_t slot, long pid)> on_worker_spawn;
-};
-
-/// Dispatcher execution counters, surfaced like CacheStats: environment
-/// state (how the run executed), so they serialize under the timing form
-/// only and the deterministic document is unchanged by dispatch.
-struct DispatchStats {
-  std::size_t workers = 0;          ///< configured worker slots
-  std::size_t jobs_dispatched = 0;  ///< Job frames sent, retries included
-  std::size_t jobs_retried = 0;     ///< dispatches beyond a job's first
-  std::size_t jobs_reassigned = 0;  ///< in-flight jobs pulled off dead workers
-  std::size_t worker_restarts = 0;  ///< replacement spawns after a death
-  std::size_t frames_received = 0;  ///< well-formed frames from workers
-  std::vector<double> worker_busy_seconds;  ///< per slot, job wall-clock
-
-  friend bool operator==(const DispatchStats&, const DispatchStats&) = default;
-};
-
 /// One executed job: the expanded SweepJob plus its outcome. A throwing
 /// job (SpecError, SynthesisError, ...) is captured as `error` and does
 /// not abort the suite.
@@ -150,11 +99,6 @@ struct SweepResult {
   /// deterministic to_json(false) stays byte-identical warm vs cold.
   bool cache_enabled = false;
   CacheStats cache;
-  /// Dispatcher accounting for this run (multi-process mode only). Same
-  /// contract as cache: timing-form serialization, deterministic form
-  /// untouched.
-  bool dispatch_enabled = false;
-  DispatchStats dispatch;
   /// The JSONL sink reported a write failure (disk full, closed stream):
   /// the file on disk is truncated and must not be trusted. SuiteRunner
   /// flushes the sink before returning so buffered failures surface here
@@ -191,15 +135,7 @@ struct SuiteOptions {
   /// Optional result memoization (non-owning; must outlive the run):
   /// lookup-before-execute, write-through-after. Hits skip the simulation
   /// entirely; every sink sees cached and fresh results identically.
-  /// Mutually exclusive with dispatch (an in-process handle cannot cross
-  /// the fork; pass the directory via dispatch.extra_worker_args so every
-  /// worker opens its own) -- run_jobs throws SpecError on the combination.
   ResultCache* cache = nullptr;
-  /// Multi-process mode: when dispatch.workers > 0 the suite forks worker
-  /// processes instead of threads (see DispatchOptions). `threads` is
-  /// ignored in this mode; everything else -- sinks, ordering, the
-  /// deterministic document -- behaves identically.
-  DispatchOptions dispatch;
 };
 
 class SuiteRunner {
@@ -222,33 +158,5 @@ class SuiteRunner {
  private:
   SuiteOptions options_;
 };
-
-namespace detail {
-
-// Shared between the in-process engine and the dist tier, so both emit
-// bit-identical lines and aggregates. Not API; subject to change with the
-// engine.
-
-[[nodiscard]] Json coords_to_json(const SweepCoords& coords);
-[[nodiscard]] SweepCoords coords_from_json(const Json& j);
-
-/// One JSONL line for `outcome`. When `raw_result` is non-null (dispatch
-/// mode) it is spliced verbatim as the "result" value instead of
-/// re-serializing outcome.result -- the text is the worker's canonical
-/// to_json(false) dump, so the line is byte-identical to the in-process
-/// form without this process ever parsing the body.
-[[nodiscard]] Json jsonl_line(const JobOutcome& outcome, bool with_timing,
-                              const std::string* raw_result = nullptr);
-
-/// Fold per-job metric vectors into out.points / out.jobs_failed, in job
-/// index order (execution-interleaving independent). Requires out.jobs
-/// complete and point-contiguous; metrics_by_job[i] holds the vector for
-/// successful job i. Throws SpecError on contract violations.
-void aggregate_points(
-    SweepResult& out,
-    const std::vector<std::vector<std::pair<std::string, double>>>&
-        metrics_by_job);
-
-}  // namespace detail
 
 }  // namespace deproto::api

@@ -199,11 +199,12 @@ void apply_axis_value(ScenarioSpec& spec, const std::string& field,
 std::uint64_t replicate_seed(std::uint64_t base_seed, std::size_t replicate) {
   if (replicate == 0) return base_seed;
   sim::Rng stream = sim::Rng(base_seed).split(replicate);
-  // Clamp derived seeds to 53 bits: specs travel as JSON (cache keys, the
-  // dispatch wire protocol), whose numbers are doubles that are only exact
-  // up to 2^53. A full-width seed would silently round in transit, so an
-  // out-of-process worker would simulate a different replicate than the
-  // in-process engine.
+  // Clamp derived seeds to 53 bits: specs travel as JSON (the result
+  // cache keys and verifies entries by the spec dump), whose numbers are
+  // doubles that are only exact up to 2^53. A full-width seed would
+  // silently round in the dump, so two replicates could share one cache
+  // entry and a spec read back from JSON would simulate a different
+  // replicate than the one that was expanded.
   return stream.engine()() & ((std::uint64_t{1} << 53) - 1);
 }
 

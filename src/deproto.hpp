@@ -79,7 +79,5 @@
 #include "analysis/exact_checks.hpp"
 #include "analysis/verifier.hpp"
 
-// dist: multi-process cluster sweep dispatch over the api engine
+// dist: the frame codec (length-prefixed JSON frames) deproto-bench times
 #include "dist/wire.hpp"
-#include "dist/worker.hpp"
-#include "dist/dispatcher.hpp"

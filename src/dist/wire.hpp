@@ -1,20 +1,22 @@
 #pragma once
 
-// The cluster dispatcher's framing protocol: length-prefixed, versioned
-// frames carrying JSON payloads between the dispatcher and its worker
-// processes (spec JSON down; result JSON, heartbeats, and hello/handshake
-// up). A frame is a fixed 16-byte header -- 4 magic bytes ("DPWF"), a
+// A framing protocol for shipping sweep jobs between processes:
+// length-prefixed, versioned frames carrying JSON payloads between a
+// dispatcher and its workers (spec JSON down; result JSON, heartbeats, and
+// hello/handshake up). No sweep executor in the library uses it -- sweeps
+// run on the in-process SuiteRunner pool -- but deproto-bench times this
+// codec (its dist.frame_* spans).
+//
+// A frame is a fixed 16-byte header -- 4 magic bytes ("DPWF"), a
 // little-endian u32 protocol version, frame type, and payload length --
 // followed by the payload bytes. The decoder is incremental (feed bytes
 // as they arrive, poll for complete frames) and fails closed: a bad
 // magic, unknown version or type, or an oversized length marks the whole
-// stream corrupt -- framing is lost, there is no resync -- so the
-// dispatcher can kill that worker and reassign its job instead of
-// guessing at byte boundaries.
+// stream corrupt -- framing is lost, there is no resync -- so a reader
+// drops that peer instead of guessing at byte boundaries.
 //
-// Transport is an interface: FdTransport drives the pipe pair the
-// dispatcher forks workers with today; a socket transport for real
-// multi-host clusters plugs in behind the same two calls.
+// Transport is an interface: FdTransport drives a pipe pair; a socket
+// transport plugs in behind the same two calls.
 
 #include <cstddef>
 #include <cstdint>
@@ -48,7 +50,7 @@ enum class FrameType : std::uint32_t {
   Job = 2,
   /// Worker -> dispatcher, one per executed job. The payload is a compact
   /// header JSON line, '\n', then the raw ExperimentResult::to_json(false)
-  /// dump (absent after a failed job); see dist/worker.hpp. The two-part
+  /// dump (absent after a failed job). The two-part
   /// layout lets the dispatcher splice the (potentially huge) result text
   /// into its JSONL sink without parsing it into a tree.
   Result = 3,

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -19,6 +20,11 @@
 namespace deproto::sim {
 
 using ProcessId = std::uint32_t;
+
+/// The largest group a per-node backend can address: one ProcessId per
+/// process.
+inline constexpr std::uint64_t kMaxGroupSize =
+    std::uint64_t{std::numeric_limits<ProcessId>::max()} + 1;
 
 class Group {
  public:

@@ -52,11 +52,7 @@ void MetricsCollector::end_period(const Group& group) {
     current_.alive_in_state[s] = group.count(s);
   }
   current_.total_alive = group.total_alive();
-  if (sink_) {
-    sink_(current_);
-  } else {
-    samples_.push_back(current_);
-  }
+  samples_.push_back(current_);
   if (track_hosts_) {
     host_history_.push_back(group.members(tracked_state_));
   }
@@ -78,17 +74,8 @@ void MetricsCollector::end_period(
   }
   current_.alive_in_state = alive_in_state;
   current_.total_alive = total_alive;
-  if (sink_) {
-    sink_(current_);
-  } else {
-    samples_.push_back(current_);
-  }
+  samples_.push_back(current_);
   in_period_ = false;
-}
-
-void MetricsCollector::set_sample_sink(
-    std::function<void(const PeriodSample&)> sink) {
-  sink_ = std::move(sink);
 }
 
 namespace {

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -58,14 +57,6 @@ class MetricsCollector {
   void end_period(const std::vector<std::size_t>& alive_in_state,
                   std::size_t total_alive);
 
-  /// Streaming mode: every completed period is handed to `sink` instead of
-  /// being appended to samples(), so a 10^6-period run retains O(1) sample
-  /// state (the per-period S x S transition matrices are the dominant
-  /// retained cost otherwise). samples() stays empty while a sink is set;
-  /// window summaries and CSV writers are unavailable in this mode. The
-  /// sink must not call back into the collector.
-  void set_sample_sink(std::function<void(const PeriodSample&)> sink);
-
   [[nodiscard]] const std::vector<PeriodSample>& samples() const noexcept {
     return samples_;
   }
@@ -98,7 +89,6 @@ class MetricsCollector {
  private:
   std::size_t states_;
   std::vector<PeriodSample> samples_;
-  std::function<void(const PeriodSample&)> sink_;
   PeriodSample current_;
   bool in_period_ = false;
   bool track_hosts_ = false;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+
 #include "api/experiment.hpp"
 #include "api/job_metrics.hpp"
 #include "api/registry.hpp"
@@ -220,6 +223,31 @@ TEST(ExperimentTest, SimulatorValidationSurfacesAsSpecError) {
   bad_fraction.faults.massive_failures.push_back(
       sim::MassiveFailure{5, 1.5});
   EXPECT_THROW((void)Experiment(bad_fraction).launch(), SpecError);
+}
+
+TEST(ExperimentTest, PerNodeBackendsRejectUnaddressableNBeforeAllocating) {
+  // sim::ProcessId is 32 bits, so a per-node backend cannot address more
+  // than 2^32 processes. The bound is checked before the group is built:
+  // these sizes would otherwise ask for 10^10..10^20 bytes. Never test at
+  // n = 2^32 itself, which is in bounds and would really allocate.
+  for (const Backend backend : {Backend::Sync, Backend::Event}) {
+    for (const std::size_t n :
+         {(std::size_t{1} << 32) + 1, ~std::size_t{0}}) {
+      ScenarioSpec spec = registry_get("epidemic");
+      spec.initial_counts.clear();
+      spec.n = n;
+      spec.backend = backend;
+      try {
+        (void)Experiment(spec).launch();
+        ADD_FAILURE() << backend_name(backend) << " accepted n = " << n;
+      } catch (const SpecError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("n = " + std::to_string(n)), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("backend count"), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 TEST(ExperimentTest, EventBackendRunsCrashRecoveryPlans) {

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstddef>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -268,6 +270,40 @@ TEST(SuiteRunnerTest, JsonlLinesAreOnePerJobInOrder) {
     ++count;
   }
   EXPECT_EQ(count, 4U);
+}
+
+/// The SpecError message run_jobs throws for `jobs`; empty when none.
+std::string run_jobs_error(const SuiteOptions& options,
+                           std::vector<SweepJob> jobs) {
+  try {
+    (void)SuiteRunner(options).run_jobs(std::move(jobs), "bad");
+  } catch (const SpecError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SuiteRunnerTest, JobListContractViolationsAreSpecErrors) {
+  std::vector<SweepJob> jobs = small_sweep().expand();
+  ASSERT_EQ(jobs.size(), 4U);  // points 0, 0, 1, 1
+
+  // A point revisited after a later one is rejected before any job runs.
+  std::vector<SweepJob> shuffled = jobs;
+  std::swap(shuffled[1], shuffled[2]);
+  std::size_t ran = 0;
+  SuiteOptions options;
+  options.on_result = [&ran](const JobOutcome&) { ++ran; };
+  EXPECT_NE(run_jobs_error(options, shuffled).find("point-contiguous"),
+            std::string::npos);
+  EXPECT_EQ(ran, 0U);
+
+  // Replicates of one point whose machines differ (2 vs 3 states) cannot
+  // share metric columns.
+  std::vector<SweepJob> mixed = jobs;
+  mixed[1].spec = registry_get("endemic").scaled_to(200);
+  mixed[1].spec.periods = 6;
+  EXPECT_NE(run_jobs_error(options, mixed).find("different metric sets"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
-# Cached-sweep smoke: run the CI sweep preset twice against one cache
-# directory and assert the warm run (a) reports every job as a cache hit
-# and (b) writes --json/--jsonl artifacts byte-identical to the cold run.
-# This is the determinism-contract-extended-to-replays check, runnable as
-# one command from CTest and the CI jobs:
+# Cached-sweep smoke: run the CI sweep preset three times and assert that
+# neither the cache nor the thread count shows in the artifacts. The cold
+# and warm passes run on 2 threads against one cache directory: the warm
+# run must report every job as a cache hit. A third pass runs on 1 thread
+# with no cache. All three must write byte-identical --json/--jsonl
+# artifacts -- the determinism contract extended to cache replays and to
+# the thread count. Runnable as one command from CTest and the CI jobs:
 #
 #   cmake -DDEPROTO_RUN=<path/to/deproto-run> -P tools/cached_sweep_smoke.cmake
 #
@@ -19,12 +21,14 @@ set(work "${bin_dir}/cached-sweep-smoke")
 file(REMOVE_RECURSE "${work}")
 file(MAKE_DIRECTORY "${work}")
 
-set(sweep_args --sweep smoke-epidemic-scaling --threads 2
-    --cache "${work}/cache" --quiet)
+set(sweep_args --sweep smoke-epidemic-scaling --quiet)
+set(cold_exec_args --threads 2 --cache "${work}/cache")
+set(warm_exec_args ${cold_exec_args})
+set(plain_exec_args --threads 1 --no-cache)
 
-foreach(pass cold warm)
+foreach(pass cold warm plain)
   execute_process(
-    COMMAND "${DEPROTO_RUN}" ${sweep_args}
+    COMMAND "${DEPROTO_RUN}" ${sweep_args} ${${pass}_exec_args}
             --json "${work}/${pass}.json" --jsonl "${work}/${pass}.jsonl"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE stdout
@@ -44,17 +48,26 @@ if(NOT warm_stdout MATCHES "cache: 8/8 hits, 0 misses \\(0 corrupt\\), 0 stored"
   message(FATAL_ERROR "warm run was not all cache hits:\n${warm_stdout}")
 endif()
 
-# Byte-identical artifacts: cached and fresh results are indistinguishable
-# to every sink.
-foreach(artifact json jsonl)
-  execute_process(
-    COMMAND "${CMAKE_COMMAND}" -E compare_files
-            "${work}/cold.${artifact}" "${work}/warm.${artifact}"
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-      "warm .${artifact} differs from cold (cache replay broke determinism)")
-  endif()
+if(plain_stdout MATCHES "cache:")
+  message(FATAL_ERROR "--no-cache run still used a cache:\n${plain_stdout}")
+endif()
+
+# Byte-identical artifacts: cached and fresh results, and 1 and 2 threads,
+# are indistinguishable to every sink.
+foreach(pass warm plain)
+  foreach(artifact json jsonl)
+    execute_process(
+      COMMAND "${CMAKE_COMMAND}" -E compare_files
+              "${work}/cold.${artifact}" "${work}/${pass}.${artifact}"
+      RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+      message(FATAL_ERROR
+        "${pass} .${artifact} differs from the cold cached run (cache or "
+        "thread count broke determinism)")
+    endif()
+  endforeach()
 endforeach()
 
-message(STATUS "cached sweep smoke: warm run all hits, artifacts byte-identical")
+message(STATUS
+  "cached sweep smoke: warm run all hits; cold, warm and uncached "
+  "1-thread artifacts byte-identical")

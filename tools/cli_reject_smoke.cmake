@@ -37,10 +37,10 @@ expect_reject("${DEPROTO_LINT}" --exact-max-states
               epidemic --exact-max-states 0)
 expect_reject("${DEPROTO_RUN}" --n epidemic --n 12x)
 expect_reject("${DEPROTO_RUN}" --threads epidemic --threads 2)
-expect_reject("${DEPROTO_RUN}" --worker-heartbeat-ms
-              epidemic --worker-heartbeat-ms 5)
-expect_reject("${DEPROTO_RUN}" --worker-heartbeat-ms
-              --sweep smoke-epidemic-scaling --worker-heartbeat-ms 5)
+# The retired multi-process executor's flags are unknown, not ignored.
+expect_reject("${DEPROTO_RUN}" --dispatch
+              --sweep smoke-epidemic-scaling --dispatch 2)
+expect_reject("${DEPROTO_RUN}" --worker --worker)
 expect_reject("${DEPROTO_RUN}" --ode
               --ode system.ode --sweep smoke-epidemic-scaling)
 

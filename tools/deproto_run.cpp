@@ -23,14 +23,6 @@
 //                      count | net | auto (count at N >= 100000, else
 //                      sync); net runs real UDP loopback sockets, N <= 1024
 //   --threads <T>      sweep/smoke worker threads (0 = all cores)
-//   --dispatch <W>     sweep/smoke: run jobs in W worker *processes*
-//                      (this binary with --worker) instead of threads;
-//                      output is byte-identical to --threads 1, and a
-//                      worker that crashes or hangs is replaced
-//   --worker           internal: the worker loop (job frames on stdin,
-//                      result frames on stdout) that --dispatch spawns
-//   --worker-heartbeat-ms <ms>  dispatch: worker liveness interval
-//                      (default 500; 0 disables hang detection)
 //   --repeat <k>       replicates: lifts a single source into a sweep, or
 //                      overrides a sweep's replicate count
 //   --bisect <field>   instead of one run, bisect a numeric axis field
@@ -57,7 +49,7 @@
 //   --quiet            suppress the population table / per-job lines
 //
 // Each flag belongs to the modes that read it (single run, sweep or
-// --repeat, bisect, smoke, worker, list); a flag given in a mode that
+// --repeat, bisect, smoke, list); a flag given in a mode that
 // would ignore it is an error, like a malformed value (exit 2).
 //
 // Every scenario runs on any backend, and the sweep engine guarantees
@@ -90,7 +82,6 @@
 #include "api/sweep.hpp"
 #include "cli_util.hpp"
 #include "core/synthesis.hpp"
-#include "dist/worker.hpp"
 #include "ode/parser.hpp"
 
 namespace {
@@ -123,9 +114,6 @@ struct CliOptions {
   std::optional<std::uint64_t> seed;
   std::optional<deproto::api::Backend> backend;
   std::size_t threads = 0;  // 0 = all cores
-  std::size_t dispatch = 0;  // 0 = in-process pool; N = worker processes
-  bool worker = false;
-  int worker_heartbeat_ms = -1;  // -1 = flag not given
   std::optional<std::size_t> repeat;
   std::string bisect;  // axis field; empty = no bisection
   std::optional<double> bisect_lo;  // default 0, or the sweep-seeded lo
@@ -149,17 +137,15 @@ enum Mode : unsigned {
   kSweep = 1u << 1,   // --sweep, or --repeat over a single source
   kBisect = 1u << 2,
   kSmoke = 1u << 3,
-  kWorker = 1u << 4,
-  kList = 1u << 5,
+  kList = 1u << 4,
 };
 constexpr const char* kModeNames[] = {
-    "single-run", "sweep", "bisect", "smoke", "worker", "list",
+    "single-run", "sweep", "bisect", "smoke", "list",
 };
 constexpr unsigned kSource = kSingle | kSweep | kBisect;
 constexpr unsigned kPool = kSweep | kSmoke;
 
 unsigned run_mode(const CliOptions& o) {
-  if (o.worker) return kWorker;
   if (o.smoke) return kSmoke;
   if (o.list) return kList;
   if (!o.sweep.empty()) return o.bisect.empty() ? kSweep : kSweep | kBisect;
@@ -183,7 +169,6 @@ deproto::cli::FlagTable flag_table(CliOptions* o) {
   return deproto::cli::FlagTable({
       switch_flag("--list", kList, &o->list),
       switch_flag("--smoke", kSmoke, &o->smoke),
-      switch_flag("--worker", kWorker, &o->worker),
       list_flag("<scenario>", kSource, &o->scenarios),
       text_flag("--spec", kSource, &o->spec_file),
       text_flag("--ode", kSource, &o->ode_file),
@@ -193,9 +178,6 @@ deproto::cli::FlagTable flag_table(CliOptions* o) {
       number_flag<std::uint64_t>("--seed", kSource, &o->seed),
       {"--backend", kSource, true, set_backend},
       number_flag<std::size_t>("--threads", kPool, &o->threads),
-      number_flag<std::size_t>("--dispatch", kPool, &o->dispatch, 1),
-      number_flag<int>("--worker-heartbeat-ms", kPool | kWorker,
-                       &o->worker_heartbeat_ms, 0, 3600 * 1000),
       number_flag<std::size_t>("--repeat", kSweep, &o->repeat, 1),
       text_flag("--bisect", kBisect, &o->bisect),
       number_flag<double>("--bisect-lo", kBisect, &o->bisect_lo),
@@ -204,10 +186,10 @@ deproto::cli::FlagTable flag_table(CliOptions* o) {
       number_flag<double>("--bisect-tol", kBisect, &o->bisect_tol, 0.0),
       text_flag("--json", kSource | kSmoke, &o->json_out),
       text_flag("--jsonl", kPool, &o->jsonl_out),
-      text_flag("--cache", kPool | kWorker, &o->cache_dir),
-      switch_flag("--no-cache", kPool | kWorker, &o->no_cache),
+      text_flag("--cache", kPool, &o->cache_dir),
+      switch_flag("--no-cache", kPool, &o->no_cache),
       switch_flag("--cache-gc", kPool, &o->cache_gc),
-      number_flag<std::uint64_t>("--cache-max-bytes", kPool | kWorker,
+      number_flag<std::uint64_t>("--cache-max-bytes", kPool,
                                  &o->cache_max_bytes),
       text_flag("--spec-out", kSource, &o->spec_out),
       switch_flag("--quiet", kSource, &o->quiet),
@@ -216,12 +198,11 @@ deproto::cli::FlagTable flag_table(CliOptions* o) {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --list | --smoke | --worker | (<scenario> | "
-               "--spec f.json | --ode f|- | --sweep preset|f.json) [--n N] "
-               "[--periods k] [--seed s] [--backend sync|event|count|net|auto] "
-               "[--threads T] [--dispatch W] [--worker-heartbeat-ms ms] "
-               "[--repeat k] [--bisect field [--bisect-lo v] [--bisect-hi v] "
-               "[--bisect-iters k] [--bisect-tol t]] "
+               "usage: %s --list | --smoke | (<scenario> | --spec f.json | "
+               "--ode f|- | --sweep preset|f.json) [--n N] [--periods k] "
+               "[--seed s] [--backend sync|event|count|net|auto] "
+               "[--threads T] [--repeat k] [--bisect field [--bisect-lo v] "
+               "[--bisect-hi v] [--bisect-iters k] [--bisect-tol t]] "
                "[--json out.json] [--jsonl out.jsonl] [--cache dir] "
                "[--no-cache] [--cache-gc] [--cache-max-bytes b] "
                "[--spec-out out.json] [--quiet]\n",
@@ -455,63 +436,17 @@ std::unique_ptr<ResultCache> open_cache(const CliOptions& options) {
   return std::make_unique<ResultCache>(dir);
 }
 
-/// Wire the execution engine (in-process pool vs --dispatch worker
-/// processes) plus the cache into `suite`, returning the parent-side
-/// cache handle. In dispatch mode SuiteOptions::cache stays null -- each
-/// worker opens the same directory itself via a forwarded --cache flag,
-/// and the LRU bound is enforced worker-side too -- so the parent handle
-/// only resolves/creates the directory and prints the summary line.
+/// Wire the thread count and the cache into `suite`, returning the cache
+/// handle (nullptr when caching is off).
 std::unique_ptr<ResultCache> configure_execution(const CliOptions& options,
                                                  SuiteOptions* suite) {
-  if (options.dispatch == 0 && options.worker_heartbeat_ms >= 0) {
-    throw UsageError("--worker-heartbeat-ms needs --dispatch");
-  }
-  if (options.dispatch != 0 && options.threads != 0) {
-    throw UsageError(
-        "--dispatch shards jobs across worker processes; it cannot be "
-        "combined with --threads");
-  }
-  if (options.dispatch != 0 && options.cache_gc) {
-    throw UsageError(
-        "--cache-gc tracks entry touches in-process and cannot see "
-        "worker-process touches; run it without --dispatch");
-  }
   std::unique_ptr<ResultCache> cache = open_cache(options);
-  if (options.dispatch == 0) {
-    suite->threads = options.threads;
-    suite->cache = cache.get();
-    if (cache != nullptr && options.cache_max_bytes.has_value()) {
-      cache->set_max_bytes(*options.cache_max_bytes);
-    }
-    return cache;
-  }
-  suite->dispatch.workers = options.dispatch;
-  if (options.worker_heartbeat_ms >= 0) {
-    suite->dispatch.heartbeat_ms = options.worker_heartbeat_ms;
-  }
-  if (cache != nullptr) {
-    suite->dispatch.extra_worker_args = {"--cache", cache->dir().string()};
-    if (options.cache_max_bytes.has_value()) {
-      suite->dispatch.extra_worker_args.push_back("--cache-max-bytes");
-      suite->dispatch.extra_worker_args.push_back(
-          std::to_string(*options.cache_max_bytes));
-    }
-  } else {
-    // Keep an ambient $DEPROTO_CACHE_DIR from resurfacing in workers.
-    suite->dispatch.extra_worker_args = {"--no-cache"};
+  suite->threads = options.threads;
+  suite->cache = cache.get();
+  if (cache != nullptr && options.cache_max_bytes.has_value()) {
+    cache->set_max_bytes(*options.cache_max_bytes);
   }
   return cache;
-}
-
-/// The per-run dispatcher counter line (mirrors the "cache:" summary).
-void print_dispatch(const SweepResult& result) {
-  if (!result.dispatch_enabled) return;
-  std::printf(
-      "dispatch: %zu workers, %zu jobs dispatched (%zu retried, %zu "
-      "reassigned), %zu worker restarts, %zu frames\n",
-      result.dispatch.workers, result.dispatch.jobs_dispatched,
-      result.dispatch.jobs_retried, result.dispatch.jobs_reassigned,
-      result.dispatch.worker_restarts, result.dispatch.frames_received);
 }
 
 /// The hit/miss line after a cached run ("cache: 12/12 hits, ..."), plus
@@ -609,7 +544,6 @@ int run_sweep(SweepSpec sweep, const CliOptions& options) {
               result.jobs_total, result.jobs_failed, result.elapsed_seconds,
               result.jobs_per_second(), result.threads,
               result.threads == 1 ? "" : "s");
-  print_dispatch(result);
   finish_cache(result, cache.get(), options.cache_gc);
 
   for (const JobOutcome& outcome : result.jobs) {
@@ -707,7 +641,6 @@ int run_smoke(const CliOptions& options) {
       });
   if (!ran.has_value()) return 1;
   const SweepResult& result = *ran;
-  print_dispatch(result);
   finish_cache(result, cache.get(), options.cache_gc);
   if (!options.json_out.empty() &&
       !write_file(options.json_out,
@@ -761,18 +694,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (mode == kWorker) {
-      // Worker mode owns stdin/stdout as the frame channel; the
-      // dispatcher forwards only the cache flags and the heartbeat.
-      const std::unique_ptr<ResultCache> cache = open_cache(options);
-      if (cache != nullptr && options.cache_max_bytes.has_value()) {
-        cache->set_max_bytes(*options.cache_max_bytes);
-      }
-      deproto::dist::WorkerOptions worker;
-      worker.heartbeat_ms = std::max(0, options.worker_heartbeat_ms);
-      worker.cache = cache.get();
-      return deproto::dist::run_worker(worker);
-    }
     if (mode == kSmoke) return run_smoke(options);
     if (mode == kList) {
       list_registry();
