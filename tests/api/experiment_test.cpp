@@ -250,6 +250,18 @@ TEST(ExperimentTest, PerNodeBackendsRejectUnaddressableNBeforeAllocating) {
   }
 }
 
+TEST(ExperimentTest, CountBackendRunsNBeyondTheProcessIdRange) {
+  // The bound above is per-node only: the count backend keeps one counter
+  // per state, so the size the per-node error points to really runs.
+  ScenarioSpec spec = registry_get("epidemic");
+  spec.initial_counts.clear();
+  spec.n = (std::size_t{1} << 32) + 1;
+  spec.backend = Backend::Count;
+  spec.periods = 3;
+  const ExperimentResult result = Experiment(spec).run();
+  EXPECT_EQ(result.final_alive, spec.n);
+}
+
 TEST(ExperimentTest, EventBackendRunsCrashRecoveryPlans) {
   // PR 2 rejected these outright; the unified Simulator interface makes
   // every fault-plan field valid on the event backend too.

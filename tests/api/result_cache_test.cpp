@@ -15,6 +15,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/experiment.hpp"
@@ -406,6 +407,105 @@ TEST(ResultCacheTest, LoadRefreshesRecencySoReplayedEntriesSurvive) {
   EXPECT_FALSE(fs::exists(dir / (keys[1] + ".json")));
   EXPECT_FALSE(fs::exists(dir / (keys[2] + ".json")));
   EXPECT_TRUE(fs::exists(dir / (cache.key_for(fourth) + ".json")));
+}
+
+TEST(ResultCacheTest, TwoHandlesOnOneDirectoryShareEntries) {
+  // Two CLIs sharing a cache directory: what one stores, the other
+  // replays, and each handle counts only its own lookups.
+  const fs::path dir = fresh_dir();
+  ScenarioSpec spec = registry_get("epidemic").scaled_to(150);
+  spec.periods = 4;
+  const ExperimentResult fresh = Experiment(spec).run();
+
+  ResultCache writer(dir);
+  ResultCache reader(dir);
+  EXPECT_FALSE(reader.load(spec).has_value());
+  writer.store(spec, fresh);
+  const std::optional<ExperimentResult> replay = reader.load(spec);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->to_json(false).dump(), fresh.to_json(false).dump());
+  EXPECT_EQ(writer.stats(), (CacheStats{0, 0, 0, 1, 0}));
+  EXPECT_EQ(reader.stats(), (CacheStats{1, 1, 0, 0, 0}));
+}
+
+TEST(ResultCacheTest, ConcurrentStoresOfOneKeyLeaveOneValidEntry) {
+  // Every writer goes through its own tmp file and an atomic rename, so
+  // racing stores of the same key leave exactly one complete entry and
+  // no tmp debris.
+  const fs::path dir = fresh_dir();
+  ScenarioSpec spec = registry_get("epidemic").scaled_to(150);
+  spec.periods = 4;
+  const ExperimentResult fresh = Experiment(spec).run();
+
+  ResultCache cache(dir);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < 10; ++i) cache.store(spec, fresh);
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+
+  std::size_t files = 0;
+  for (const auto& dirent : fs::directory_iterator(dir)) {
+    (void)dirent;
+    ++files;
+  }
+  EXPECT_EQ(files, 1U);
+  EXPECT_EQ(entry_files(dir).size(), 1U);
+  EXPECT_EQ(cache.stats().stores, 40U);
+  ResultCache reader(dir);
+  const std::optional<ExperimentResult> replay = reader.load(spec);
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_EQ(replay->to_json(false).dump(), fresh.to_json(false).dump());
+}
+
+TEST(ResultCacheTest, TruncatedBodyUnderAValidHeaderIsCorrupt) {
+  // The header parses and matches, but the body is shorter than its
+  // recorded result_bytes: a miss, never a replay of half a document.
+  const fs::path dir = fresh_dir();
+  ScenarioSpec spec = registry_get("epidemic").scaled_to(150);
+  spec.periods = 4;
+  ResultCache cache(dir);
+  cache.store(spec, Experiment(spec).run());
+
+  const fs::path entry = dir / (cache.key_for(spec) + ".json");
+  std::string contents;
+  {
+    std::ifstream in(entry, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    contents = buffer.str();
+  }
+  const std::size_t split = contents.find('\n');
+  ASSERT_NE(split, std::string::npos);
+  {
+    std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+    // Drop the body's closing brace (and newline): still one line, but
+    // one byte short of what the header promises.
+    out << contents.substr(0, contents.size() - 2) << "\n";
+  }
+  EXPECT_FALSE(cache.load(spec).has_value());
+  EXPECT_EQ(cache.stats().corrupt, 1U);
+}
+
+TEST(ResultCacheTest, EntryForAnotherSpecUnderThisKeyIsCorrupt) {
+  // The stored spec is compared in full, so an entry filed under the
+  // wrong key (the shape of a hash collision) is a miss, not a replay of
+  // another job's result.
+  const fs::path dir = fresh_dir();
+  ScenarioSpec a = registry_get("epidemic").scaled_to(150);
+  a.periods = 4;
+  ScenarioSpec b = a;
+  b.seed = a.seed + 1;
+  ResultCache cache(dir);
+  cache.store(a, Experiment(a).run());
+  fs::copy_file(dir / (cache.key_for(a) + ".json"),
+                dir / (cache.key_for(b) + ".json"));
+
+  EXPECT_FALSE(cache.load(b).has_value());
+  EXPECT_EQ(cache.stats().corrupt, 1U);
+  EXPECT_TRUE(cache.load(a).has_value());
 }
 
 }  // namespace

@@ -1,18 +1,22 @@
 // SuiteRunner semantics: the worker pool preserves job-index ordering for
 // every sink, aggregates match hand-computed statistics, job failures are
-// captured without aborting the suite, and the aggregated document is
-// identical no matter how many threads executed the jobs.
+// captured without aborting the suite, the aggregated document is
+// identical no matter how many threads executed the jobs, and a shared
+// result cache composes with any thread count.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "api/experiment.hpp"
 #include "api/registry.hpp"
+#include "api/result_cache.hpp"
 #include "api/suite_runner.hpp"
 #include "api/sweep.hpp"
 
@@ -28,6 +32,52 @@ SweepSpec small_sweep() {
       SweepAxis{"n", {Json::number(200), Json::number(300)}});
   sweep.replicates = 2;
   return sweep;
+}
+
+/// A hand-built job list of `count` single-replicate points that differ
+/// only in seed -- the shape deproto-run --smoke hands to run_jobs.
+std::vector<SweepJob> seed_jobs(std::size_t count) {
+  std::vector<SweepJob> jobs;
+  for (std::size_t i = 0; i < count; ++i) {
+    ScenarioSpec spec = registry_get("epidemic").scaled_to(150);
+    spec.periods = 4;
+    spec.seed = 100 + i;
+    spec.name = "job-" + std::to_string(i);
+    SweepJob job;
+    job.index = i;
+    job.point = i;
+    job.coords.emplace_back("seed", Json::number(spec.seed));
+    job.spec = std::move(spec);
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+struct RunOutput {
+  SweepResult result;
+  std::string json;   // deterministic to_json(false).dump(2)
+  std::string jsonl;  // streaming sink
+};
+
+RunOutput run_jobs_with(SuiteOptions options, std::vector<SweepJob> jobs) {
+  std::ostringstream jsonl;
+  options.jsonl = &jsonl;
+  RunOutput out;
+  out.result = SuiteRunner(options).run_jobs(std::move(jobs), "unit-jobs");
+  out.json = out.result.to_json(false).dump(2);
+  out.jsonl = jsonl.str();
+  return out;
+}
+
+/// A fresh, empty cache directory per test.
+std::filesystem::path fresh_dir() {
+  const auto* info = testing::UnitTest::GetInstance()->current_test_info();
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "deproto-suite-test" /
+      (std::string(info->test_suite_name()) + "." + info->name());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 TEST(AggregateTest, MatchesHandComputedStatistics) {
@@ -304,6 +354,215 @@ TEST(SuiteRunnerTest, JobListContractViolationsAreSpecErrors) {
   mixed[1].spec.periods = 6;
   EXPECT_NE(run_jobs_error(options, mixed).find("different metric sets"),
             std::string::npos);
+}
+
+TEST(SuiteRunnerTest, PoolMatchesSingleThreadedRunByteForByte) {
+  SuiteOptions one;
+  one.threads = 1;
+  const RunOutput reference = run_jobs_with(one, seed_jobs(8));
+  ASSERT_EQ(reference.result.jobs_failed, 0U);
+  ASSERT_EQ(reference.result.points.size(), 8U);
+
+  SuiteOptions four;
+  four.threads = 4;
+  const RunOutput pooled = run_jobs_with(four, seed_jobs(8));
+  EXPECT_EQ(pooled.result.threads, 4U);
+  EXPECT_EQ(pooled.result.jobs_failed, 0U);
+  // Same document, same JSONL bytes, no matter which thread finished
+  // which job when.
+  EXPECT_EQ(pooled.json, reference.json);
+  EXPECT_EQ(pooled.jsonl, reference.jsonl);
+}
+
+TEST(SuiteRunnerTest, StoredOutcomesMatchADirectExperimentRun) {
+  SuiteOptions options;
+  options.threads = 2;
+  options.store_results = true;
+  std::size_t on_result_calls = 0;
+  options.on_result = [&on_result_calls](const JobOutcome& outcome) {
+    EXPECT_TRUE(outcome.ok);
+    EXPECT_FALSE(outcome.cached);
+    ++on_result_calls;
+  };
+  const RunOutput out = run_jobs_with(options, seed_jobs(4));
+  EXPECT_EQ(on_result_calls, 4U);
+  ASSERT_EQ(out.result.jobs.size(), 4U);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const JobOutcome& outcome = out.result.jobs[i];
+    EXPECT_EQ(outcome.job.index, i);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_GT(outcome.elapsed_seconds, 0.0);
+    // A job run on the pool is the canonical document a direct
+    // in-process Experiment run produces.
+    const ExperimentResult direct = Experiment(outcome.job.spec).run();
+    EXPECT_EQ(outcome.result.to_json(false).dump(),
+              direct.to_json(false).dump());
+  }
+}
+
+TEST(SuiteRunnerTest, CacheStatsSumAcrossPoolThreads) {
+  const std::filesystem::path dir = fresh_dir();
+  ResultCache cache(dir);
+  SuiteOptions options;
+  options.threads = 3;
+  options.cache = &cache;
+
+  // Cold: every job misses and stores on some thread; the run's totals
+  // count all of them, not one thread's share.
+  const RunOutput cold = run_jobs_with(options, seed_jobs(6));
+  EXPECT_EQ(cold.result.jobs_failed, 0U);
+  EXPECT_TRUE(cold.result.cache_enabled);
+  EXPECT_EQ(cold.result.cache.hits, 0U);
+  EXPECT_EQ(cold.result.cache.misses, 6U);
+  EXPECT_EQ(cold.result.cache.stores, 6U);
+
+  // Warm, same handle: the run reports its own delta, not the handle's
+  // lifetime totals, and replays byte-identically.
+  const RunOutput warm = run_jobs_with(options, seed_jobs(6));
+  EXPECT_EQ(warm.result.cache.hits, 6U);
+  EXPECT_EQ(warm.result.cache.misses, 0U);
+  EXPECT_EQ(warm.result.cache.stores, 0U);
+  EXPECT_EQ(warm.json, cold.json);
+  EXPECT_EQ(warm.jsonl, cold.jsonl);
+
+  // A second handle on the directory, on one thread, is all hits too.
+  ResultCache shared(dir);
+  SuiteOptions single;
+  single.threads = 1;
+  single.cache = &shared;
+  const RunOutput local = run_jobs_with(single, seed_jobs(6));
+  EXPECT_EQ(local.result.cache.hits, 6U);
+  EXPECT_EQ(local.json, cold.json);
+  EXPECT_EQ(local.jsonl, cold.jsonl);
+}
+
+TEST(SuiteRunnerTest, CachedOutcomesAreFlaggedAndReplayByteIdentically) {
+  ResultCache cache(fresh_dir());
+  SuiteOptions options;
+  options.threads = 2;
+  options.cache = &cache;
+  const RunOutput cold = run_jobs_with(options, seed_jobs(3));
+  for (const JobOutcome& outcome : cold.result.jobs) {
+    EXPECT_FALSE(outcome.cached);
+  }
+
+  std::vector<bool> seen_cached;
+  options.on_result = [&seen_cached](const JobOutcome& outcome) {
+    seen_cached.push_back(outcome.cached);
+  };
+  const RunOutput warm = run_jobs_with(options, seed_jobs(3));
+  EXPECT_EQ(seen_cached, std::vector<bool>(3, true));
+  ASSERT_EQ(warm.result.jobs.size(), 3U);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(warm.result.jobs[i].cached);
+    EXPECT_EQ(warm.result.jobs[i].result.to_json(false).dump(),
+              cold.result.jobs[i].result.to_json(false).dump());
+  }
+}
+
+TEST(SuiteRunnerTest, CacheCountersLiveInTimingJsonOnly) {
+  ResultCache cache(fresh_dir());
+  SuiteOptions options;
+  options.threads = 2;
+  options.cache = &cache;
+  const RunOutput out = run_jobs_with(options, seed_jobs(4));
+
+  // Deterministic form: no execution-environment accounting, or a warm
+  // artifact could never equal a cold one.
+  EXPECT_EQ(out.json.find("\"cache\""), std::string::npos);
+
+  const Json timing = out.result.to_json(true);
+  ASSERT_TRUE(timing.contains("cache"));
+  EXPECT_EQ(timing.at("cache").at("misses").as_size(), 4U);
+  EXPECT_EQ(timing.at("cache").at("stores").as_size(), 4U);
+
+  // The timing form round-trips the counters.
+  const SweepResult restored = SweepResult::from_json(timing);
+  EXPECT_TRUE(restored.cache_enabled);
+  EXPECT_EQ(restored.cache, out.result.cache);
+
+  // Without a cache the timing form carries no cache block at all.
+  const SweepResult uncached = SuiteRunner().run_jobs(seed_jobs(1), "plain");
+  EXPECT_FALSE(uncached.to_json(true).contains("cache"));
+}
+
+TEST(SuiteRunnerTest, ZeroJobsCompletesWithEmptySinks) {
+  SuiteOptions options;
+  options.threads = 4;
+  std::size_t calls = 0;
+  options.on_result = [&calls](const JobOutcome&) { ++calls; };
+  const RunOutput out = run_jobs_with(options, {});
+  EXPECT_EQ(out.result.jobs_total, 0U);
+  EXPECT_EQ(out.result.jobs_failed, 0U);
+  EXPECT_TRUE(out.result.jobs.empty());
+  EXPECT_TRUE(out.result.points.empty());
+  EXPECT_EQ(out.result.threads, 1U);
+  EXPECT_EQ(calls, 0U);
+  EXPECT_TRUE(out.jsonl.empty());
+}
+
+TEST(SuiteRunnerTest, FailedJobLineCarriesErrorWithoutResult) {
+  std::vector<SweepJob> jobs = seed_jobs(5);
+  jobs[2].spec.backend = Backend::Event;
+  jobs[2].spec.clock_drift = -2.0;  // rejected at launch
+
+  SuiteOptions options;
+  options.threads = 2;
+  const RunOutput out = run_jobs_with(options, std::move(jobs));
+  EXPECT_EQ(out.result.jobs_failed, 1U);
+  ASSERT_EQ(out.result.jobs.size(), 5U);
+  EXPECT_FALSE(out.result.jobs[2].ok);
+  EXPECT_FALSE(out.result.jobs[2].error.empty());
+  // A failed job does not poison the pool: every other job still runs.
+  for (const std::size_t i : {0U, 1U, 3U, 4U}) {
+    EXPECT_TRUE(out.result.jobs[i].ok) << i;
+  }
+
+  std::istringstream lines(out.jsonl);
+  std::string line;
+  std::size_t count = 0;
+  while (std::getline(lines, line)) {
+    const Json parsed = Json::parse(line);
+    EXPECT_EQ(parsed.at("job").as_size(), count);
+    if (count == 2) {
+      EXPECT_FALSE(parsed.at("ok").as_bool());
+      EXPECT_EQ(parsed.at("error").as_string(), out.result.jobs[2].error);
+      EXPECT_FALSE(parsed.contains("result"));
+    } else {
+      EXPECT_TRUE(parsed.at("ok").as_bool());
+      EXPECT_FALSE(parsed.contains("error"));
+    }
+    ++count;
+  }
+  EXPECT_EQ(count, 5U);
+}
+
+TEST(SuiteRunnerTest, JsonlTimingAddsElapsedAndCacheProvenance) {
+  std::ostringstream jsonl;
+  SuiteOptions options;
+  options.jsonl = &jsonl;
+  options.jsonl_timing = true;
+  (void)SuiteRunner(options).run_jobs(seed_jobs(2), "timed");
+
+  std::istringstream lines(jsonl.str());
+  std::string line;
+  std::size_t count = 0;
+  while (std::getline(lines, line)) {
+    const Json parsed = Json::parse(line);
+    EXPECT_FALSE(parsed.at("cached").as_bool());
+    EXPECT_TRUE(parsed.at("result").contains("elapsed_seconds"));
+    ++count;
+  }
+  EXPECT_EQ(count, 2U);
+}
+
+TEST(SuiteRunnerTest, ZeroThreadsMeansAtLeastOneWorker) {
+  SuiteOptions options;
+  options.threads = 0;  // hardware concurrency, clamped to the job count
+  const SweepResult result = SuiteRunner(options).run_jobs(seed_jobs(2), "hw");
+  EXPECT_GE(result.threads, 1U);
+  EXPECT_LE(result.threads, 2U);
+  EXPECT_EQ(result.jobs_failed, 0U);
 }
 
 }  // namespace
