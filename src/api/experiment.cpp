@@ -286,6 +286,9 @@ ExperimentRun Experiment::launch_impl() {
                     " processes a per-node backend (" + backend_name(backend) +
                     ") can address; larger populations need backend count");
   }
+  // Parsing validates the fault plan already; a spec built in code or by a
+  // sweep axis reaches here unchecked.
+  spec_.faults.validate();
   if (spec_.runtime.verify_static || spec_.runtime.verify_exact) {
     // Opt-in pre-flight: refuse to stand up a backend for a machine or
     // spec the static verifier rejects. Warnings and infos pass; they are

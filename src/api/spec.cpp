@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "ode/catalog.hpp"
 #include "ode/parser.hpp"
@@ -219,10 +221,58 @@ FaultPlan faults_from_json(const Json& j) {
         finite(ch.get_or("periods_per_hour", f.churn.periods_per_hour),
                "churn.periods_per_hour");
   }
+  f.validate();
   return f;
 }
 
+/// `v` as a short decimal ("0.5", "1e+12") for error messages.
+std::string shortest(double v) {
+  std::ostringstream out;
+  out << v;
+  return out.str();
+}
+
+/// Throws SpecError unless lo <= v <= hi.
+void require_within(double v, double lo, double hi, const char* field) {
+  if (!(v >= lo && v <= hi)) {
+    throw SpecError(std::string(field) + ": must lie in [" + shortest(lo) +
+                    ", " + shortest(hi) + "], got " + shortest(v));
+  }
+}
+
+/// Throws SpecError unless v > 0.
+void require_positive(double v, const char* field) {
+  if (!(v > 0.0)) {
+    throw SpecError(std::string(field) + ": must be > 0, got " +
+                    shortest(v));
+  }
+}
+
 }  // namespace
+
+void FaultPlan::validate() const {
+  for (const sim::MassiveFailure& m : massive_failures) {
+    require_within(m.fraction, 0.0, 1.0, "faults.massive_failures.fraction");
+  }
+  require_within(crash_recovery.crash_prob, 0.0, 1.0,
+                 "faults.crash_recovery.crash_prob");
+  if (!(crash_recovery.mean_downtime_periods >= 0.0)) {
+    throw SpecError(
+        "faults.crash_recovery.mean_downtime_periods: must be >= 0, got " +
+        shortest(crash_recovery.mean_downtime_periods));
+  }
+  if (!churn.enabled) return;
+  require_within(churn.hours, 0.0, kMaxChurnHours, "faults.churn.hours");
+  require_within(churn.min_rate, 0.0, 1.0, "faults.churn.min_rate");
+  if (!(churn.max_rate >= churn.min_rate && churn.max_rate <= 1.0)) {
+    throw SpecError("faults.churn.max_rate: must lie in [min_rate, 1], got " +
+                    shortest(churn.max_rate) + " with min_rate " +
+                    shortest(churn.min_rate));
+  }
+  require_positive(churn.mean_downtime_hours,
+                   "faults.churn.mean_downtime_hours");
+  require_positive(churn.periods_per_hour, "faults.churn.periods_per_hour");
+}
 
 const char* backend_name(Backend backend) {
   switch (backend) {

@@ -39,6 +39,10 @@ struct SourceSpec {
   friend bool operator==(const SourceSpec&, const SourceSpec&) = default;
 };
 
+/// Longest synthetic churn trace a spec may ask for (~11 years): the
+/// trace generator loops once per hour.
+inline constexpr double kMaxChurnHours = 1e5;
+
 /// Synthetic Overnet-style churn attachment; mirrors
 /// sim::ChurnTrace::synthetic_overnet plus the hours -> periods conversion.
 struct ChurnSpec {
@@ -75,6 +79,14 @@ struct FaultPlan {
     return !massive_failures.empty() || crash_recovery.crash_prob > 0.0 ||
            churn.enabled;
   }
+
+  /// Throws SpecError naming the first field outside its range: failure
+  /// fractions and crash_prob in [0, 1], mean_downtime_periods >= 0, and
+  /// for an enabled churn 0 <= min_rate <= max_rate <= 1,
+  /// mean_downtime_hours > 0, periods_per_hour > 0 and
+  /// 0 <= hours <= kMaxChurnHours. Parsing runs it; so does
+  /// Experiment::launch, for specs built in code or by a sweep axis.
+  void validate() const;
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };

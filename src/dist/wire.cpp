@@ -1,9 +1,5 @@
 #include "dist/wire.hpp"
 
-#include <errno.h>
-#include <poll.h>
-#include <unistd.h>
-
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -113,51 +109,6 @@ FrameDecoder::Status FrameDecoder::next(Frame* out, std::string* error) {
   out->payload.assign(header + kFrameHeaderSize, length);
   consumed_ += kFrameHeaderSize + length;
   return Status::Frame;
-}
-
-FdTransport::FdTransport(int read_fd, int write_fd, bool owns_fds)
-    : read_fd_(read_fd), write_fd_(write_fd), owns_fds_(owns_fds) {}
-
-FdTransport::~FdTransport() {
-  if (owns_fds_) {
-    if (read_fd_ >= 0) ::close(read_fd_);
-    if (write_fd_ >= 0 && write_fd_ != read_fd_) ::close(write_fd_);
-  }
-}
-
-bool FdTransport::send(const Frame& frame) {
-  const std::string bytes = encode_frame(frame);
-  std::lock_guard<std::mutex> lock(send_mu_);
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::write(write_fd_, bytes.data() + off, bytes.size() - off);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && errno == EAGAIN) {
-      // Writable fd briefly full (pipe buffer): wait it out rather than
-      // tear a frame in half.
-      struct pollfd pfd {};
-      pfd.fd = write_fd_;
-      pfd.events = POLLOUT;
-      ::poll(&pfd, 1, -1);
-      continue;
-    }
-    return false;  // EPIPE and friends: peer is gone
-  }
-  return true;
-}
-
-long FdTransport::read_some(char* out, std::size_t n) {
-  while (true) {
-    const ssize_t got = ::read(read_fd_, out, n);
-    if (got >= 0) return static_cast<long>(got);
-    if (errno == EINTR) continue;
-    return -1;
-  }
 }
 
 }  // namespace deproto::dist

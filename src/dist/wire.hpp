@@ -14,13 +14,9 @@
 // magic, unknown version or type, or an oversized length marks the whole
 // stream corrupt -- framing is lost, there is no resync -- so a reader
 // drops that peer instead of guessing at byte boundaries.
-//
-// Transport is an interface: FdTransport drives a pipe pair; a socket
-// transport plugs in behind the same two calls.
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 namespace deproto::dist {
@@ -111,48 +107,6 @@ class FrameDecoder {
   std::size_t consumed_ = 0;  // prefix of buffer_ already handed out
   bool corrupt_ = false;
   std::string corrupt_why_;
-};
-
-/// One frame-carrying byte stream to a peer. send() must be safe to call
-/// from multiple threads (the worker's heartbeat thread interleaves with
-/// its result writes); reads are single-consumer.
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  /// Blocking, whole-frame write. False when the peer is gone (EPIPE /
-  /// closed fd); callers treat that as peer death, never retry.
-  virtual bool send(const Frame& frame) = 0;
-
-  /// Read up to `n` raw bytes into `out`. Returns the byte count, 0 on
-  /// end-of-stream, -1 on error or (for non-blocking fds) would-block.
-  virtual long read_some(char* out, std::size_t n) = 0;
-
-  /// The fd to poll for readability, or -1 when the transport does not
-  /// expose one.
-  [[nodiscard]] virtual int poll_fd() const = 0;
-};
-
-/// Transport over a pair of file descriptors -- the worker's stdin/stdout
-/// pipes today, any fd-shaped stream (socketpair, TCP) tomorrow. Does not
-/// own the fds unless told to.
-class FdTransport final : public Transport {
- public:
-  FdTransport(int read_fd, int write_fd, bool owns_fds = false);
-  ~FdTransport() override;
-
-  FdTransport(const FdTransport&) = delete;
-  FdTransport& operator=(const FdTransport&) = delete;
-
-  bool send(const Frame& frame) override;
-  long read_some(char* out, std::size_t n) override;
-  [[nodiscard]] int poll_fd() const override { return read_fd_; }
-
- private:
-  int read_fd_;
-  int write_fd_;
-  bool owns_fds_;
-  std::mutex send_mu_;  // frames from concurrent senders never interleave
 };
 
 }  // namespace deproto::dist

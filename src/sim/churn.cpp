@@ -1,6 +1,7 @@
 #include "sim/churn.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace deproto::sim {
 
@@ -18,6 +19,12 @@ ChurnTrace ChurnTrace::synthetic_overnet(std::size_t n, double hours,
                                          double min_rate, double max_rate,
                                          double mean_downtime_hours,
                                          Rng& rng) {
+  // A rate outside [0, 1] would turn rate * n into a negative or
+  // oversized departure count below.
+  if (!(min_rate >= 0.0 && min_rate <= max_rate && max_rate <= 1.0)) {
+    throw std::invalid_argument(
+        "ChurnTrace::synthetic_overnet: need 0 <= min_rate <= max_rate <= 1");
+  }
   std::vector<ChurnEvent> events;
   // up_until[h] > t  means host h is up at time t.
   std::vector<double> down_until(n, 0.0);

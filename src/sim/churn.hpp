@@ -32,7 +32,8 @@ class ChurnTrace {
   /// [min_rate, max_rate] * n; that many currently-up hosts depart at a
   /// uniformly random moment within the hour (the paper spread its hourly
   /// snapshots across each hour) and rejoin after an exponential downtime
-  /// with mean `mean_downtime_hours`.
+  /// with mean `mean_downtime_hours`. Throws std::invalid_argument unless
+  /// 0 <= min_rate <= max_rate <= 1.
   static ChurnTrace synthetic_overnet(std::size_t n, double hours,
                                       double min_rate, double max_rate,
                                       double mean_downtime_hours, Rng& rng);

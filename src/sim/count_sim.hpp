@@ -20,10 +20,12 @@
 //     (Gauss-Seidel) agrees to O(rate^2) per period.
 //   * Stop-after-first-firing is modeled by a sequential binomial chain
 //     over actions_of(state), thinning the executor pool in action order.
-//   * Faults are anonymous: massive failures and background crashes
-//     remove multivariate-hypergeometric batches across states; targeted
+//   * Faults are anonymous: the fault plan is fault_plan::Rounds, the
+//     sync backend's, with its draws and period boundaries, but a victim
+//     has no identity. Massive failures and background crashes remove
+//     multivariate-hypergeometric batches across states; targeted
 //     crashes and churn events each hit one uniformly random alive
-//     process (there is no per-node identity to target).
+//     process; revivals rejoin state 0 as a count.
 //   * probes_total counts full probe fan-out per executor (the per-node
 //     backends stop probing at the first mismatched response).
 //
@@ -33,12 +35,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/state_machine.hpp"
 #include "sim/churn.hpp"
 #include "sim/count_period.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/runtime.hpp"
@@ -99,17 +101,23 @@ class CountSimulator final : public Simulator {
   /// in state s, the unseeded remainder stays in state 0.
   void seed_states(const std::vector<std::size_t>& counts) override;
 
-  void schedule_massive_failure(double time, double fraction) override;
-
+  void schedule_massive_failure(double time, double fraction) override {
+    faults_.schedule_massive_failure(time, fraction);
+  }
   /// `pid` only bounds-checks against N; the victim is a uniformly random
   /// alive process (counts carry no identity).
   void schedule_crash(ProcessId pid, double time,
-                      double recover_time = -1.0) override;
-
+                      double recover_time = -1.0) override {
+    faults_.schedule_crash(pid, time, recover_time);
+  }
   void set_crash_recovery(double crash_prob,
-                          double mean_downtime_periods) override;
-
-  void attach_churn(const ChurnTrace& trace, double periods_per_hour) override;
+                          double mean_downtime_periods) override {
+    faults_.set_crash_recovery(crash_prob, mean_downtime_periods);
+  }
+  void attach_churn(const ChurnTrace& trace,
+                    double periods_per_hour) override {
+    faults_.attach_churn(trace, periods_per_hour);
+  }
 
   /// Run `periods` more rounds; metrics record one sample per round.
   void run(std::size_t periods);
@@ -122,10 +130,10 @@ class CountSimulator final : public Simulator {
   /// binomial approximation of the multivariate hypergeometric across the
   /// state buckets, with feasibility clamps so the total always lands.
   void remove_random_alive(std::size_t victims);
-  /// Crash one uniformly random alive process (categorical by counts).
-  void crash_one_random();
-  void apply_anonymous_events(const std::vector<ChurnEvent>& events,
-                              std::size_t& next, double until);
+  /// A targeted or churn event: a departure crashes one uniformly random
+  /// alive process (categorical by counts); an arrival revives one of
+  /// them while any is down.
+  void apply_event(const ChurnEvent& event);
   void execute_period(double t);
 
   CountSimOptions options_;
@@ -135,24 +143,10 @@ class CountSimulator final : public Simulator {
   std::vector<std::size_t> counts_;  // alive processes per state
   std::size_t alive_;
   std::size_t period_ = 0;
-
-  struct PendingFailure {
-    MassiveFailure failure;
-    bool applied = false;
-  };
-  std::vector<PendingFailure> failures_;
-  std::vector<ChurnEvent> churn_;    // in periods, sorted
-  std::size_t churn_next_ = 0;
-  std::vector<ChurnEvent> crashes_;  // schedule_crash events, in periods
-  std::size_t crashes_next_ = 0;
   /// Processes taken down by churn/targeted events and not yet revived:
   /// an "up" event revives one of them (anonymously) when nonzero.
   std::size_t churn_down_ = 0;
-  double crash_prob_ = 0.0;
-  double mean_downtime_ = 0.0;
-  /// Crash-recovery revivals bucketed by the period boundary where the
-  /// sync backend would notice them: period -> processes due back.
-  std::map<std::size_t, std::size_t> recoveries_;
+  fault_plan::Rounds faults_;  // after the members its hooks reach
 
   CountPeriod rule_;  // after counts_: it takes the machine by move
   CountTally tally_;

@@ -1,14 +1,17 @@
 #pragma once
 // Fault-plan quantization and validation rules shared by every execution
-// backend (sync, event, count, net), plus the queue-driven Scheduler the
-// two asynchronous backends (event, net) run their whole fault surface
-// through. A backend that re-derives any of these risks drifting from the
-// others in exactly the places the equivalence suites compare, so each
-// is pinned here once.
+// backend (sync, event, count, net), plus the two fault surfaces built on
+// them: the queue-driven Scheduler the asynchronous backends (event, net)
+// run their faults through, and the period-boundary Rounds the
+// round-based backends (sync, count) run theirs through. A backend that
+// re-derives any of these risks drifting from the others in exactly the
+// places the equivalence suites compare, so each is pinned here once.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/churn.hpp"
@@ -104,6 +107,81 @@ class Scheduler {
   // superseded tick chain dies at its next tick.
   std::uint64_t churn_epoch_ = 0;
   std::uint64_t recovery_epoch_ = 0;
+};
+
+/// The fault surface of the round-based backends: the same four
+/// operations, quantized to period boundaries. begin_period(t) runs before
+/// period t executes and applies, in this order:
+///   1. massive failures due at t (time <= t), in scheduling order;
+///   2. targeted crashes and recoveries due at t (time <= t), in time
+///      order, equal times in scheduling order (a crash before its own
+///      recovery, as the event queue's FIFO tie-break has it);
+///   3. churn events with time <= t + 1: a trace event inside the period
+///      acts during it, so it shows in that period's sample, as on the
+///      event backend;
+///   4. crash-recovery revivals due at t, then the period's background
+///      crashes: binomial(alive, crash_prob) victims, then one recovery
+///      delay per victim in victim order (also for anonymous victims).
+/// Every draw but the victim sampling is made here, from the backend's
+/// Rng. The plan knows nothing of the population; what a crash or a
+/// revival does to it is the backend's, through the hooks.
+class Rounds {
+ public:
+  struct Hooks {
+    /// Crash `k` uniformly random alive processes. Returns the victims
+    /// (sync), or nothing when processes carry no identity (count).
+    std::function<std::vector<ProcessId>(std::size_t)> crash_random;
+    /// A targeted crash or recovery, or a churn event, for a host < n.
+    std::function<void(const ChurnEvent&)> apply;
+    /// Revive one identified victim into state 0 (if it is still down).
+    std::function<void(ProcessId)> recover;
+    /// Revive `k` anonymous victims into state 0.
+    std::function<void(std::size_t)> revive;
+    std::function<std::size_t()> total_alive;
+  };
+
+  /// A plan for a membership of `n`, drawing from `rng`.
+  Rounds(Rng& rng, std::size_t n, Hooks hooks);
+  Rounds(const Rounds&) = delete;
+  Rounds& operator=(const Rounds&) = delete;
+
+  /// The Simulator operations of the same names.
+  void schedule_massive_failure(double time, double fraction);
+  void schedule_crash(ProcessId pid, double time, double recover_time);
+  void set_crash_recovery(double crash_prob, double mean_downtime_periods);
+  void attach_churn(const ChurnTrace& trace, double periods_per_hour);
+
+  /// Apply every fault due at the start of period `period` (see above).
+  void begin_period(std::size_t period);
+
+ private:
+  void apply_until(const std::vector<ChurnEvent>& events, std::size_t& next,
+                   double until);
+
+  /// Victims due back at one boundary: identified ones as (recovery time,
+  /// pid), revived in that order, as a (time, pid) min-heap pops them;
+  /// anonymous ones as a count, so the store grows with due periods.
+  struct Due {
+    std::vector<std::pair<double, ProcessId>> ids;
+    std::size_t anonymous = 0;
+  };
+  struct PendingFailure {
+    double time;
+    double fraction;
+    bool applied = false;
+  };
+
+  Rng& rng_;
+  std::size_t n_;
+  Hooks hooks_;
+  std::vector<PendingFailure> failures_;
+  std::vector<ChurnEvent> crashes_;  // schedule_crash events, in periods
+  std::size_t crashes_next_ = 0;
+  std::vector<ChurnEvent> churn_;  // the attached trace, in periods, sorted
+  std::size_t churn_next_ = 0;
+  double crash_prob_ = 0.0;     // background crash-recovery, per period
+  double mean_downtime_ = 0.0;  // 0 = crash-stop
+  std::map<std::size_t, Due> recoveries_;  // due period -> victims
 };
 
 }  // namespace deproto::sim::fault_plan

@@ -15,11 +15,13 @@
 // the count backend has no such representation and throws.
 //
 // Time convention: every time argument is measured in *fractional protocol
-// periods* from simulation start. The sync backend quantizes to period
-// boundaries (a fault at time t fires at the start of the first period
-// >= t, and run_for rounds up to whole rounds); the event backend honors
-// fractional times exactly. now() reports the current simulation time in
-// the same unit, so `run_for(k)` always advances now() by (at least) k.
+// periods* from simulation start. The round-based backends (sync, count)
+// quantize to period boundaries through one shared plan,
+// fault_plan::Rounds (a fault at time t fires at the start of the first
+// period >= t, and run_for rounds up to whole rounds); the event and net
+// backends honor fractional times exactly through fault_plan::Scheduler.
+// now() reports the current simulation time in the same unit, so
+// `run_for(k)` always advances now() by (at least) k.
 
 #include <cstddef>
 #include <vector>
@@ -34,7 +36,7 @@ namespace deproto::sim {
 /// A scheduled "massive failure" (Figures 5 and 12): at `time`, crash a
 /// uniformly random `fraction` of the processes alive at that moment.
 struct MassiveFailure {
-  double time = 0.0;      // in fractional periods (sync: period start >= time)
+  double time = 0.0;      // fractional periods (sync, count: period >= time)
   double fraction = 0.5;  // of currently-alive processes
 
   friend bool operator==(const MassiveFailure&,

@@ -4,17 +4,17 @@
 // experiments ("multiple instances running synchronously over a simulated
 // network, all on a single machine"). One round == one protocol period;
 // time on all plots is measured in periods. Implements the full unified
-// Simulator fault surface: scheduled massive failures, targeted crashes,
-// background crash-recovery, and churn-trace playback.
+// Simulator fault surface (scheduled massive failures, targeted crashes,
+// background crash-recovery, churn-trace playback) through
+// fault_plan::Rounds, shared with the count backend; this file only says
+// what a crash or a revival does to the Group.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "sim/churn.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/metrics.hpp"
 #include "sim/protocol.hpp"
 #include "sim/simulator.hpp"
@@ -50,19 +50,23 @@ class SyncSimulator final : public Simulator {
     return static_cast<double>(period_);
   }
 
-  /// Crash `fraction` of the alive processes at the start of the first
-  /// period >= `time`.
-  void schedule_massive_failure(double time, double fraction) override;
-
-  /// Crash `pid` at the start of the first period >= `time`; recovery (if
-  /// requested) enters state 0.
+  /// Faults fire at the start of the first period >= their time (see
+  /// fault_plan::Rounds); a recovered process enters state 0.
+  void schedule_massive_failure(double time, double fraction) override {
+    faults_.schedule_massive_failure(time, fraction);
+  }
   void schedule_crash(ProcessId pid, double time,
-                      double recover_time = -1.0) override;
-
-  void attach_churn(const ChurnTrace& trace, double periods_per_hour) override;
-
+                      double recover_time = -1.0) override {
+    faults_.schedule_crash(pid, time, recover_time);
+  }
+  void attach_churn(const ChurnTrace& trace,
+                    double periods_per_hour) override {
+    faults_.attach_churn(trace, periods_per_hour);
+  }
   void set_crash_recovery(double crash_prob,
-                          double mean_downtime_periods) override;
+                          double mean_downtime_periods) override {
+    faults_.set_crash_recovery(crash_prob, mean_downtime_periods);
+  }
 
   /// Run `periods` more rounds. Metrics record one sample per round.
   void run(std::size_t periods);
@@ -75,30 +79,12 @@ class SyncSimulator final : public Simulator {
   }
 
  private:
-  void apply_churn_until(std::vector<ChurnEvent>& events, std::size_t& next,
-                         double period_time);
-
   Group group_;
   PeriodicProtocol& protocol_;
   Rng rng_;
   MetricsCollector metrics_;
   std::size_t period_ = 0;
-  struct PendingFailure {
-    MassiveFailure failure;
-    bool applied = false;
-  };
-  std::vector<PendingFailure> failures_;
-  std::vector<ChurnEvent> churn_;    // in periods, sorted
-  std::size_t churn_next_ = 0;
-  std::vector<ChurnEvent> crashes_;  // schedule_crash events, in periods
-  std::size_t crashes_next_ = 0;
-  double crash_prob_ = 0.0;
-  double mean_downtime_ = 0.0;
-  // Min-heap of (recovery period, pid) for crash-recovery failures.
-  std::priority_queue<std::pair<double, ProcessId>,
-                      std::vector<std::pair<double, ProcessId>>,
-                      std::greater<>>
-      recoveries_;
+  fault_plan::Rounds faults_;  // after the members its hooks reach
 };
 
 }  // namespace deproto::sim

@@ -225,6 +225,22 @@ TEST(ExperimentTest, SimulatorValidationSurfacesAsSpecError) {
   EXPECT_THROW((void)Experiment(bad_fraction).launch(), SpecError);
 }
 
+TEST(ExperimentTest, LaunchValidatesFaultPlansBuiltInCode) {
+  // A spec built in code (or by a sweep axis) skips the parse-time check;
+  // launch runs the same one, before the churn generator would loop for
+  // 1e12 hours.
+  ScenarioSpec spec = registry_get("endemic-churn").scaled_to(50);
+  spec.faults.churn.hours = 1e12;
+  try {
+    (void)Experiment(spec).launch();
+    ADD_FAILURE() << "launched with churn.hours = 1e12";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("faults.churn.hours"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ExperimentTest, PerNodeBackendsRejectUnaddressableNBeforeAllocating) {
   // sim::ProcessId is 32 bits, so a per-node backend cannot address more
   // than 2^32 processes. The bound is checked before the group is built:

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "api/experiment.hpp"
 #include "api/registry.hpp"
@@ -220,6 +221,78 @@ TEST(SpecJsonTest, NullNumericFieldsAreRejectedNotNaN) {
   EXPECT_THROW((void)ScenarioSpec::from_json(Json::parse(
                    R"({"runtime":{"token_ttl":null}})")),
                JsonError);  // integral read of null fails in the json layer
+}
+
+/// Parse `faults_json` as a spec's "faults" object; expect a SpecError
+/// whose message names `field`.
+void expect_fault_field_rejected(const std::string& faults_json,
+                                 const std::string& field) {
+  try {
+    (void)ScenarioSpec::from_json(
+        Json::parse(R"({"faults":)" + faults_json + "}"));
+    ADD_FAILURE() << faults_json << " parsed";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SpecJsonTest, ChurnHoursAreBounded) {
+  // A trace is generated hour by hour: 1e12 hours would never finish.
+  expect_fault_field_rejected(R"({"churn":{"hours":1e12}})",
+                              "faults.churn.hours");
+  expect_fault_field_rejected(R"({"churn":{"hours":-1}})",
+                              "faults.churn.hours");
+  EXPECT_NO_THROW((void)ScenarioSpec::from_json(Json::parse(
+      R"({"faults":{"churn":{"hours":1e5}}})")));
+}
+
+TEST(SpecJsonTest, ChurnMinRateLiesInTheUnitInterval) {
+  expect_fault_field_rejected(
+      R"({"churn":{"min_rate":-0.5,"max_rate":-0.5}})",
+      "faults.churn.min_rate");
+}
+
+TEST(SpecJsonTest, ChurnMaxRateLiesBetweenMinRateAndOne) {
+  expect_fault_field_rejected(R"({"churn":{"min_rate":0.5,"max_rate":0.1}})",
+                              "faults.churn.max_rate");
+  expect_fault_field_rejected(R"({"churn":{"max_rate":1.5}})",
+                              "faults.churn.max_rate");
+}
+
+TEST(SpecJsonTest, ChurnMeanDowntimeHoursIsPositive) {
+  expect_fault_field_rejected(R"({"churn":{"mean_downtime_hours":-3}})",
+                              "faults.churn.mean_downtime_hours");
+  expect_fault_field_rejected(R"({"churn":{"mean_downtime_hours":0}})",
+                              "faults.churn.mean_downtime_hours");
+}
+
+TEST(SpecJsonTest, ChurnPeriodsPerHourIsPositive) {
+  expect_fault_field_rejected(R"({"churn":{"periods_per_hour":0}})",
+                              "faults.churn.periods_per_hour");
+}
+
+TEST(SpecJsonTest, CrashProbLiesInTheUnitInterval) {
+  // A negative probability used to pass as "disabled" and run no faults.
+  expect_fault_field_rejected(R"({"crash_recovery":{"crash_prob":-0.5}})",
+                              "faults.crash_recovery.crash_prob");
+  expect_fault_field_rejected(R"({"crash_recovery":{"crash_prob":1.5}})",
+                              "faults.crash_recovery.crash_prob");
+}
+
+TEST(SpecJsonTest, CrashMeanDowntimePeriodsIsNonNegative) {
+  expect_fault_field_rejected(
+      R"({"crash_recovery":{"crash_prob":0.1,"mean_downtime_periods":-1}})",
+      "faults.crash_recovery.mean_downtime_periods");
+  EXPECT_NO_THROW((void)ScenarioSpec::from_json(Json::parse(
+      R"({"faults":{"crash_recovery":{"crash_prob":1,
+                                      "mean_downtime_periods":0}}})")));
+}
+
+TEST(SpecJsonTest, MassiveFailureFractionLiesInTheUnitInterval) {
+  expect_fault_field_rejected(
+      R"({"massive_failures":[{"time":5,"fraction":1.5}]})",
+      "faults.massive_failures.fraction");
 }
 
 TEST(SpecJsonTest, ResultRoundTrips) {

@@ -3,25 +3,15 @@
 // way a stream can lie about itself -- bad magic, wrong version, unknown
 // type, oversized length, mid-frame truncation, plain garbage (a worker
 // printf-ing to stdout) -- is detected as Corrupt, stickily, instead of
-// being resynced past or crashing the decoder. FdTransport carries whole
-// frames over a real pipe: concurrent senders never interleave, a full
-// non-blocking pipe is waited out, and a closed peer is reported, not
-// retried.
+// being resynced past or crashing the decoder.
 
-#include <fcntl.h>
 #include <gtest/gtest.h>
-#include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "dist/wire.hpp"
@@ -34,57 +24,6 @@ Frame job_frame(const std::string& payload) {
   frame.type = FrameType::Job;
   frame.payload = payload;
   return frame;
-}
-
-/// A pipe whose ends the test closes explicitly (or on scope exit).
-struct Pipe {
-  int read_fd = -1;
-  int write_fd = -1;
-
-  Pipe() {
-    int fds[2];
-    EXPECT_EQ(::pipe(fds), 0);
-    read_fd = fds[0];
-    write_fd = fds[1];
-  }
-  ~Pipe() {
-    close_read();
-    close_write();
-  }
-  void close_read() {
-    if (read_fd >= 0) ::close(read_fd);
-    read_fd = -1;
-  }
-  void close_write() {
-    if (write_fd >= 0) ::close(write_fd);
-    write_fd = -1;
-  }
-};
-
-/// Every frame readable from `transport` until end-of-stream; stops early
-/// (and fails the test) on a corrupt stream.
-std::vector<Frame> drain(Transport& transport) {
-  FrameDecoder decoder;
-  std::vector<Frame> frames;
-  char buf[4096];
-  while (true) {
-    Frame frame;
-    const FrameDecoder::Status status = decoder.next(&frame);
-    if (status == FrameDecoder::Status::Frame) {
-      frames.push_back(std::move(frame));
-      continue;
-    }
-    if (status == FrameDecoder::Status::Corrupt) {
-      ADD_FAILURE() << "corrupt stream after " << frames.size() << " frames";
-      return frames;
-    }
-    const long n = transport.read_some(buf, sizeof(buf));
-    if (n <= 0) {
-      EXPECT_EQ(decoder.buffered(), 0U) << "stream ended mid-frame";
-      return frames;
-    }
-    decoder.feed(buf, static_cast<std::size_t>(n));
-  }
 }
 
 /// Overwrite the little-endian u32 at `offset` in encoded frame bytes.
@@ -302,120 +241,6 @@ TEST(WireTest, BufferedCountsOnlyUnconsumedBytesAcrossManyFrames) {
   EXPECT_EQ(got, kFrames);
   EXPECT_EQ(decoder.buffered(), 0U);
   EXPECT_FALSE(decoder.corrupt());
-}
-
-TEST(WireTest, FdTransportRoundTripsFramesOverAPipe) {
-  Pipe pipe;
-  FdTransport writer(-1, pipe.write_fd);
-  FdTransport reader(pipe.read_fd, -1);
-  EXPECT_EQ(reader.poll_fd(), pipe.read_fd);
-
-  const std::vector<Frame> sent = {
-      Frame{FrameType::Hello, R"({"pid":1})"},
-      job_frame(R"({"job":0,"spec":{}})"),
-      Frame{FrameType::Shutdown, ""},
-  };
-  for (const Frame& frame : sent) ASSERT_TRUE(writer.send(frame));
-  pipe.close_write();  // end-of-stream for the reader
-  EXPECT_EQ(drain(reader), sent);
-}
-
-TEST(WireTest, FdTransportReadSomeReturnsZeroAtEndOfStream) {
-  Pipe pipe;
-  FdTransport reader(pipe.read_fd, -1);
-  ASSERT_EQ(::write(pipe.write_fd, "xy", 2), 2);
-  pipe.close_write();
-  char buf[8];
-  EXPECT_EQ(reader.read_some(buf, sizeof(buf)), 2);
-  EXPECT_EQ(reader.read_some(buf, sizeof(buf)), 0);
-}
-
-TEST(WireTest, FdTransportSendReportsAClosedPeer) {
-  // A write to a pipe with no reader fails with EPIPE (SIGPIPE ignored for
-  // the duration, as a process that talks to peers must): send() says the
-  // peer is gone instead of retrying or tearing the process down.
-  struct sigaction ignore {};
-  struct sigaction saved {};
-  ignore.sa_handler = SIG_IGN;
-  ASSERT_EQ(::sigaction(SIGPIPE, &ignore, &saved), 0);
-  {
-    Pipe pipe;
-    pipe.close_read();
-    FdTransport writer(-1, pipe.write_fd);
-    EXPECT_FALSE(writer.send(job_frame("{}")));
-  }
-  ASSERT_EQ(::sigaction(SIGPIPE, &saved, nullptr), 0);
-}
-
-TEST(WireTest, FdTransportWaitsOutAFullNonBlockingPipe) {
-  // A payload several times the pipe buffer on a non-blocking write end:
-  // send() polls through EAGAIN instead of tearing the frame in half.
-  Pipe pipe;
-  const int flags = ::fcntl(pipe.write_fd, F_GETFL);
-  ASSERT_EQ(::fcntl(pipe.write_fd, F_SETFL, flags | O_NONBLOCK), 0);
-  const Frame big = job_frame(std::string(1024 * 1024, 'z'));
-  FdTransport writer(-1, pipe.write_fd);
-  FdTransport reader(pipe.read_fd, -1);
-
-  std::vector<Frame> received;
-  std::thread consumer([&] { received = drain(reader); });
-  EXPECT_TRUE(writer.send(big));
-  pipe.close_write();
-  consumer.join();
-  ASSERT_EQ(received.size(), 1U);
-  EXPECT_EQ(received[0], big);
-}
-
-TEST(WireTest, ConcurrentSendersNeverInterleaveFrames) {
-  // Frames larger than PIPE_BUF are not written atomically by the kernel;
-  // send()'s lock is what keeps two threads' bytes from interleaving.
-  Pipe pipe;
-  FdTransport shared(-1, pipe.write_fd);
-  FdTransport reader(pipe.read_fd, -1);
-  std::vector<Frame> received;
-  std::thread consumer([&] { received = drain(reader); });
-
-  constexpr std::size_t kPerSender = 20;
-  auto sender = [&shared](char fill) {
-    for (std::size_t i = 0; i < kPerSender; ++i) {
-      EXPECT_TRUE(shared.send(job_frame(std::string(16 * 1024, fill))));
-    }
-  };
-  std::thread a(sender, 'a');
-  std::thread b(sender, 'b');
-  a.join();
-  b.join();
-  pipe.close_write();
-  consumer.join();
-
-  ASSERT_EQ(received.size(), 2 * kPerSender);
-  std::size_t as = 0;
-  for (const Frame& frame : received) {
-    ASSERT_EQ(frame.payload.size(), 16U * 1024);
-    const char fill = frame.payload[0];
-    EXPECT_EQ(frame.payload, std::string(frame.payload.size(), fill));
-    if (fill == 'a') ++as;
-  }
-  EXPECT_EQ(as, kPerSender);
-}
-
-TEST(WireTest, FdTransportClosesItsFdsOnlyWhenItOwnsThem) {
-  Pipe borrowed;
-  { FdTransport transport(borrowed.read_fd, borrowed.write_fd); }
-  EXPECT_NE(::fcntl(borrowed.read_fd, F_GETFD), -1);
-  EXPECT_NE(::fcntl(borrowed.write_fd, F_GETFD), -1);
-
-  Pipe owned;
-  const int read_fd = owned.read_fd;
-  const int write_fd = owned.write_fd;
-  owned.read_fd = owned.write_fd = -1;  // ownership moves to the transport
-  { FdTransport transport(read_fd, write_fd, /*owns_fds=*/true); }
-  errno = 0;
-  EXPECT_EQ(::fcntl(read_fd, F_GETFD), -1);
-  EXPECT_EQ(errno, EBADF);
-  errno = 0;
-  EXPECT_EQ(::fcntl(write_fd, F_GETFD), -1);
-  EXPECT_EQ(errno, EBADF);
 }
 
 }  // namespace

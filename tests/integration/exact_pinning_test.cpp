@@ -279,4 +279,50 @@ TEST(ExactPinningTest, TtlTokenPeriodMatchesExactRow) {
   }
 }
 
+/// States {x, w, y, z}. Each period a w member hands x a token (x -> y)
+/// and pushes one contact at x (x -> z), both with certainty at N = 2.
+/// From {1, 1, 0, 0} the two batches compete for the single x stayer, so
+/// the settlement order of sim::CountPeriod decides the outcome: tokens
+/// settle first, so x ends in y and the push finds no stayer left.
+deproto::core::ProtocolStateMachine token_push_contention() {
+  deproto::core::ProtocolStateMachine machine({"x", "w", "y", "z"});
+  deproto::core::TokenizingAction token;
+  token.executor_state = 1;
+  token.token_state = 0;
+  token.to_state = 2;
+  token.coin_bias = 1.0;
+  token.rate_constant = 1.0;
+  machine.add_action(token);
+  deproto::core::PushAction push;
+  push.executor_state = 1;
+  push.target_state = 0;
+  push.to_state = 3;
+  push.fanout = 1;
+  push.coin_bias = 1.0;
+  machine.add_action(push);
+  return machine;
+}
+
+TEST(ExactPinningTest, TokensSettleBeforePushesOnTheCountBackend) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    CountSimulator sim(2, token_push_contention(), seed);
+    sim.seed_states({1, 1, 0, 0});
+    sim.run(1);
+    EXPECT_EQ(sim.count(0), 0U) << "seed " << seed;
+    EXPECT_EQ(sim.count(1), 1U) << "seed " << seed;
+    EXPECT_EQ(sim.count(2), 1U) << "token delivered, seed " << seed;
+    EXPECT_EQ(sim.count(3), 0U) << "push found no stayer, seed " << seed;
+  }
+}
+
+TEST(ExactPinningTest, TokensSettleBeforePushesInTheExactRow) {
+  ExactChainOptions options;
+  options.n = 2;
+  const ExactChain chain(token_push_contention(), options);
+  const auto& row = chain.row(*chain.index_of({1, 1, 0, 0}));
+  ASSERT_EQ(row.size(), 1U);
+  EXPECT_EQ(row[0].first, *chain.index_of({0, 1, 1, 0}));
+  EXPECT_DOUBLE_EQ(row[0].second, 1.0);
+}
+
 }  // namespace

@@ -1,6 +1,8 @@
 // The unified Simulator interface: every backend is programmable through
-// the same fault/scheduling/seeding surface, and the two asynchronous
-// backends (event, net) share one fault scheduler, checked here on both.
+// the same fault/scheduling/seeding surface. The two asynchronous backends
+// (event, net) share one fault scheduler and the two round-based backends
+// (sync, count) share one period-boundary fault plan; each pair is checked
+// here on both of its members.
 
 #include "sim/simulator.hpp"
 
@@ -10,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/synthesis.hpp"
 #include "net/net_sim.hpp"
@@ -122,19 +125,6 @@ TEST(SimulatorInterfaceTest, EventMachineModeRecoversIntoStateZero) {
   EXPECT_EQ(simulator.group().state_of(5), 0U);
 }
 
-TEST(SimulatorInterfaceTest, SyncScheduleCrashQuantizesLikeMassiveFailure) {
-  // The contract: a fault at time t fires at the start of the first period
-  // >= t -- the same boundary schedule_massive_failure uses and the moment
-  // the event backend crashes the process at whole-period times.
-  FlipProtocol protocol(0.0);
-  SyncSimulator simulator(10, protocol, 13);
-  simulator.schedule_crash(2, 4.0);
-  simulator.run(4);  // periods 0..3: the crash is not due yet
-  EXPECT_TRUE(simulator.group().alive(2));
-  simulator.run(1);  // period 4 starts at t = 4.0
-  EXPECT_FALSE(simulator.group().alive(2));
-}
-
 TEST(SimulatorInterfaceTest, AttachChurnReplacesThePreviousTrace) {
   // Same last-trace-wins semantics on both backends: re-attaching after
   // (say) correcting the rate must not replay the abandoned trace.
@@ -191,20 +181,6 @@ TEST(SimulatorInterfaceTest, EventCrashRecoveryKeepsPopulationRoughlyConstant) {
       static_cast<double>(simulator.group().total_alive()) / 2000.0;
   EXPECT_GT(alive, 0.8);
   EXPECT_LT(alive, 0.98);
-}
-
-TEST(SimulatorInterfaceTest, SyncDisarmedCrashRecoveryStillDrainsRecoveries) {
-  // Disarming only stops new crashes; hosts already down when the process
-  // is disarmed still recover (the event backend's queued recoveries fire
-  // regardless, so the sync backend must match).
-  FlipProtocol protocol(0.0);
-  SyncSimulator simulator(200, protocol, 15);
-  simulator.set_crash_recovery(0.2, 3.0);
-  simulator.run(10);
-  EXPECT_LT(simulator.group().total_alive(), 200U);
-  simulator.set_crash_recovery(0.0, 0.0);
-  simulator.run(60);  // far past every pending recovery time
-  EXPECT_EQ(simulator.group().total_alive(), 200U);
 }
 
 TEST(SimulatorInterfaceTest, EventCrashRecoveryReconfiguresWithoutStacking) {
@@ -391,6 +367,121 @@ TEST_P(AsyncFaultSurfaceTest, BadFaultArgumentsThrow) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, AsyncFaultSurfaceTest, ::testing::Values("event", "net"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+/// The two round-based backends share one period-boundary fault plan
+/// (fault_plan::Rounds). Count has no process identity, so these checks
+/// read the population through the count accessors, plus group() where a
+/// backend has one.
+class RoundFaultSurfaceTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  [[nodiscard]] std::unique_ptr<Simulator> make(std::size_t n,
+                                                std::uint64_t seed) {
+    if (GetParam() == "count") {
+      return std::make_unique<CountSimulator>(n, frozen_machine(), seed);
+    }
+    return std::make_unique<SyncSimulator>(n, executor_, seed);
+  }
+
+ private:
+  MachineExecutor executor_{frozen_machine()};
+};
+
+TEST_P(RoundFaultSurfaceTest, ScheduleCrashQuantizesLikeMassiveFailure) {
+  // The contract: a fault at time t fires at the start of the first period
+  // >= t -- the same boundary schedule_massive_failure uses and the moment
+  // the event backend crashes the process at whole-period times.
+  auto simulator = make(10, 13);
+  simulator->schedule_crash(2, 4.0);
+  simulator->run_for(4.0);  // periods 0..3: the crash is not due yet
+  EXPECT_EQ(simulator->total_alive(), 10U);
+  simulator->run_for(1.0);  // period 4 starts at t = 4.0
+  EXPECT_EQ(simulator->total_alive(), 9U);
+  if (simulator->per_node()) {
+    EXPECT_FALSE(simulator->group().alive(2));
+  }
+}
+
+TEST_P(RoundFaultSurfaceTest, DisarmedCrashRecoveryStillDrainsRecoveries) {
+  // Disarming only stops new crashes; hosts already down when the process
+  // is disarmed still recover (the event backend's queued recoveries fire
+  // regardless, so the round-based backends must match).
+  auto simulator = make(200, 15);
+  simulator->set_crash_recovery(0.2, 3.0);
+  simulator->run_for(10.0);
+  EXPECT_LT(simulator->total_alive(), 200U);
+  simulator->set_crash_recovery(0.0, 0.0);
+  simulator->run_for(60.0);  // far past every pending recovery time
+  EXPECT_EQ(simulator->total_alive(), 200U);
+}
+
+TEST_P(RoundFaultSurfaceTest, SecondChurnTraceReplacesTheFirst) {
+  auto simulator = make(10, 14);
+  simulator->attach_churn(ChurnTrace::from_events({ChurnEvent{0.2, 2, false},
+                                                   ChurnEvent{0.3, 3, false}}),
+                          10.0);
+  simulator->attach_churn(
+      ChurnTrace::from_events({ChurnEvent{0.2, 5, false}}), 10.0);
+  simulator->run_for(5.0);
+  EXPECT_EQ(simulator->total_alive(), 9U);  // the first trace took two
+  if (simulator->per_node()) {
+    EXPECT_TRUE(simulator->group().alive(2));
+    EXPECT_TRUE(simulator->group().alive(3));
+    EXPECT_FALSE(simulator->group().alive(5));
+  }
+}
+
+TEST_P(RoundFaultSurfaceTest, ScheduleCrashIgnoresOutOfRangePid) {
+  auto simulator = make(10, 18);
+  simulator->schedule_crash(10, 1.0, /*recover_time=*/2.0);
+  simulator->schedule_crash(1000, 1.0);
+  simulator->run_for(3.0);
+  EXPECT_EQ(simulator->total_alive(), 10U);
+}
+
+TEST_P(RoundFaultSurfaceTest, BadFaultArgumentsThrow) {
+  auto simulator = make(10, 19);
+  EXPECT_THROW(simulator->schedule_massive_failure(1.0, 1.5),
+               std::invalid_argument);
+  EXPECT_THROW(simulator->schedule_massive_failure(1.0, -0.1),
+               std::invalid_argument);
+  EXPECT_THROW(simulator->set_crash_recovery(2.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(simulator->set_crash_recovery(-0.1, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(simulator->set_crash_recovery(0.1, -1.0),
+               std::invalid_argument);
+  EXPECT_THROW(simulator->attach_churn(ChurnTrace{}, 0.0),
+               std::invalid_argument);
+}
+
+TEST_P(RoundFaultSurfaceTest, MassiveFailureBetweenBoundariesFiresAtTheNext) {
+  auto simulator = make(10, 21);
+  simulator->schedule_massive_failure(2.5, 0.5);
+  simulator->run_for(4.0);
+  const std::vector<PeriodSample>& samples = simulator->metrics().samples();
+  ASSERT_EQ(samples.size(), 4U);
+  EXPECT_EQ(samples[2].total_alive, 10U);  // period 2 starts at t = 2.0
+  EXPECT_EQ(samples[3].total_alive, 5U);   // period 3 is the first >= 2.5
+}
+
+TEST_P(RoundFaultSurfaceTest, ChurnDepartureShowsInItsCoveringPeriod) {
+  // Churn keeps the covering-period rule: a departure at t = 2.3 acts
+  // during period 2, so period 2's sample already misses the host.
+  auto simulator = make(10, 22);
+  simulator->attach_churn(
+      ChurnTrace::from_events({ChurnEvent{0.23, 4, false}}), 10.0);
+  simulator->run_for(3.0);
+  const std::vector<PeriodSample>& samples = simulator->metrics().samples();
+  ASSERT_EQ(samples.size(), 3U);
+  EXPECT_EQ(samples[1].total_alive, 10U);
+  EXPECT_EQ(samples[2].total_alive, 9U);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RoundFaultSurfaceTest, ::testing::Values("sync", "count"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });
