@@ -1,10 +1,14 @@
 #include "analysis/exact_chain.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -49,7 +53,9 @@ void binomial_pmf(std::size_t n, double p, const std::vector<double>& log_fact,
 /// new choice point at its first outcome past it. Outcomes therefore come
 /// out in ascending-draw depth-first order, each with its probability
 /// multiplied root to leaf. `max_row_branches` is charged the pmf size per
-/// choice point and 1 per outcome.
+/// choice point and 1 per outcome. A row re-opens the same draw on many
+/// branches, so each distinct (trials, p, cap) builds its support once per
+/// row: the memo holds it in outcomes_, which is cleared with the row.
 class RowEnumerator {
  public:
   RowEnumerator(sim::CountPeriod& period, const std::vector<double>& log_fact,
@@ -62,6 +68,7 @@ class RowEnumerator {
            const std::vector<std::size_t>& start, Leaf&& leaf) {
     path_.clear();
     outcomes_.clear();
+    memo_.clear();
     branches_ = 0;
     std::size_t depth = 0;
     const auto draw = [&](std::uint64_t trials, double p,
@@ -77,7 +84,6 @@ class RowEnumerator {
       charge(1);
       leaf(counts, prob_at(path_.size()));
       while (!path_.empty() && path_.back().at + 1 == path_.back().end) {
-        outcomes_.resize(path_.back().first);
         path_.pop_back();
       }
       if (path_.empty()) return;
@@ -97,23 +103,47 @@ class RowEnumerator {
     double prob;
   };
 
+  /// A draw's identity: p by bit pattern, so a hit replays exactly the
+  /// support a miss would compute.
+  struct Draw {
+    std::uint64_t trials;
+    std::uint64_t p_bits;
+    std::size_t cap;
+
+    friend bool operator==(const Draw&, const Draw&) = default;
+  };
+  struct DrawHash {
+    std::size_t operator()(const Draw& d) const noexcept {
+      std::uint64_t h = d.p_bits;
+      h ^= d.trials + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      h ^= d.cap + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      return static_cast<std::size_t>(h);
+    }
+  };
+
   [[nodiscard]] double prob_at(std::size_t depth) const {
     return depth == 0 ? 1.0 : path_[depth - 1].prob;
   }
 
   void open(std::uint64_t trials, double p, std::size_t cap, double before) {
-    binomial_pmf(trials, p, log_fact_, pmf_);
-    charge(pmf_.size());
-    const std::size_t first = outcomes_.size();
-    for (std::size_t k = 0; k <= cap; ++k) {
-      double mass = pmf_[k];
-      if (k == cap) {
-        for (std::size_t d = cap + 1; d <= trials; ++d) mass += pmf_[d];
+    charge(trials + 1);  // the pmf's size, paid on hits too
+    const auto [it, miss] = memo_.try_emplace(
+        Draw{trials, std::bit_cast<std::uint64_t>(p), cap});
+    if (miss) {
+      binomial_pmf(trials, p, log_fact_, pmf_);
+      it->second.first = outcomes_.size();
+      for (std::size_t k = 0; k <= cap; ++k) {
+        double mass = pmf_[k];
+        if (k == cap) {
+          for (std::size_t d = cap + 1; d <= trials; ++d) mass += pmf_[d];
+        }
+        if (mass != 0.0) outcomes_.emplace_back(k, mass);
       }
-      if (mass != 0.0) outcomes_.emplace_back(k, mass);
+      it->second.second = outcomes_.size();
     }
-    path_.push_back(Choice{first, outcomes_.size(), first,
-                           before * outcomes_[first].second});
+    const auto [first, end] = it->second;
+    path_.push_back(
+        Choice{first, end, first, before * outcomes_[first].second});
   }
 
   void charge(std::size_t cost) {
@@ -132,9 +162,63 @@ class RowEnumerator {
   std::size_t branches_ = 0;
   std::vector<Choice> path_;
   std::vector<std::pair<std::size_t, double>> outcomes_;  // (draw, mass)
+  std::unordered_map<Draw, std::pair<std::size_t, std::size_t>, DrawHash>
+      memo_;  // draw -> its outcomes_[first, end)
   std::vector<double> pmf_;
   sim::CountTally tally_;  // probes and token traffic: unused here
 };
+
+/// One Gauss-Seidel sweep of ExactChain::solve_transient at compile-time width W
+/// (W == 0: the runtime `width`). Returns the largest change of any entry.
+template <std::size_t W>
+double sweep_transient(
+    const std::vector<std::vector<std::pair<std::uint32_t, double>>>& rows,
+    const std::vector<std::size_t>& transient, std::size_t width, double base,
+    std::vector<double>& x) {
+  const std::size_t k_end = W != 0 ? W : width;
+  std::array<double, W != 0 ? W : 1> fixed{};
+  std::vector<double> dynamic(W != 0 ? 0 : width);
+  double* const acc = W != 0 ? fixed.data() : dynamic.data();
+  double* const xs = x.data();
+  double worst = 0.0;
+  for (const std::size_t v : transient) {
+    double self = 0.0;
+    for (std::size_t k = 0; k < k_end; ++k) acc[k] = base;
+    for (const auto& [w, prob] : rows[v]) {
+      if (w == v) {
+        self = prob;
+        continue;
+      }
+      const double* const xw = xs + static_cast<std::size_t>(w) * k_end;
+      for (std::size_t k = 0; k < k_end; ++k) acc[k] += prob * xw[k];
+    }
+    double* const xv = xs + v * k_end;
+    for (std::size_t k = 0; k < k_end; ++k) {
+      const double next = acc[k] / (1.0 - self);
+      worst = std::max(worst, std::abs(next - xv[k]));
+      xv[k] = next;
+    }
+  }
+  return worst;
+}
+
+/// "A solve did not converge" text: %g keeps a 1e-12 tolerance legible.
+std::string unconverged(const std::string& solve, double tol,
+                        std::size_t cap, const char* steps) {
+  char tol_text[32];
+  std::snprintf(tol_text, sizeof(tol_text), "%g", tol);
+  return "ExactChain: " + solve + " did not converge to " + tol_text +
+         " within " + std::to_string(cap) + " " + steps;
+}
+
+std::string count_vector(const std::vector<std::size_t>& counts) {
+  std::string out = "(";
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    if (s != 0) out += ", ";
+    out += std::to_string(counts[s]);
+  }
+  return out + ")";
+}
 
 }  // namespace
 
@@ -179,33 +263,57 @@ ExactChain::ExactChain(const core::ProtocolStateMachine& machine,
 }
 
 void ExactChain::enumerate_states() {
-  // Lexicographic enumeration keeps states_ sorted, so index_of is a
-  // binary search with no side table.
+  // Lexicographic enumeration: the index of a count vector is its rank,
+  // counted from the composition table below.
+  const std::size_t n = options_.n;
+  compositions_.assign(num_machine_states_ * (n + 1), 0);
+  for (std::size_t r = 0; r <= n; ++r) compositions_[r] = 1;
+  for (std::size_t k = 2; k <= num_machine_states_; ++k) {
+    std::size_t* const row = &compositions_[(k - 1) * (n + 1)];
+    const std::size_t* const fewer = row - (n + 1);
+    row[0] = 1;
+    for (std::size_t r = 1; r <= n; ++r) row[r] = fewer[r] + row[r - 1];
+  }
+
   std::vector<std::size_t> counts(num_machine_states_, 0);
   const auto fill = [&](auto&& self, std::size_t level,
                         std::size_t used) -> void {
     if (level + 1 == num_machine_states_) {
-      counts[level] = options_.n - used;
+      counts[level] = n - used;
       states_.push_back(counts);
       counts[level] = 0;
       return;
     }
-    for (std::size_t c = 0; c + used <= options_.n; ++c) {
+    for (std::size_t c = 0; c + used <= n; ++c) {
       counts[level] = c;
       self(self, level + 1, used + c);
     }
     counts[level] = 0;
   };
-  states_.reserve(state_space_size(num_machine_states_, options_.n));
+  states_.reserve(state_space_size(num_machine_states_, n));
   fill(fill, 0, 0);
 }
 
 std::optional<std::size_t> ExactChain::index_of(
     const std::vector<std::size_t>& counts) const {
   if (counts.size() != num_machine_states_) return std::nullopt;
-  const auto it = std::lower_bound(states_.begin(), states_.end(), counts);
-  if (it == states_.end() || *it != counts) return std::nullopt;
-  return static_cast<std::size_t>(it - states_.begin());
+  // The lexicographic rank: at each position s with `left` processes
+  // still to place, count the vectors with a smaller entry there,
+  // sum_{c < counts[s]} C(left - c + k - 2, k - 2) over the k = S - s
+  // states left -- by the hockey-stick identity, C(left + k - 1, k - 1)
+  // minus C(left - counts[s] + k - 1, k - 1).
+  const std::size_t stride = options_.n + 1;
+  std::size_t left = options_.n;
+  std::size_t index = 0;
+  for (std::size_t s = 0; s + 1 < num_machine_states_; ++s) {
+    if (counts[s] > left) return std::nullopt;
+    const std::size_t* const k_states =
+        &compositions_[(num_machine_states_ - s - 1) * stride];
+    index += k_states[left] - k_states[left - counts[s]];
+    left -= counts[s];
+  }
+  if (counts.back() != left) return std::nullopt;
+  return index;
 }
 
 std::size_t ExactChain::seeded_index(
@@ -242,8 +350,14 @@ void ExactChain::build_kernel(const core::ProtocolStateMachine& machine) {
         sim::count_channels(machine, start, options_.n,
                             options_.message_loss),
         start, [&](const std::vector<std::size_t>& counts, double prob) {
-          row.emplace_back(static_cast<std::uint32_t>(*index_of(counts)),
-                           prob);
+          const std::optional<std::size_t> column = index_of(counts);
+          if (!column) {
+            throw std::logic_error("ExactChain: the period from " +
+                                   count_vector(start) +
+                                   " left the lattice at " +
+                                   count_vector(counts));
+          }
+          row.emplace_back(static_cast<std::uint32_t>(*column), prob);
         });
 
     // Fold duplicate outcomes and store the row sparse and sorted.
@@ -258,6 +372,14 @@ void ExactChain::build_kernel(const core::ProtocolStateMachine& machine) {
       }
     }
     row.resize(write);
+
+    double total = 0.0;
+    for (const auto& entry : row) total += entry.second;
+    if (!(std::abs(total - 1.0) <= 1e-12)) {
+      throw std::logic_error("ExactChain: kernel row of " +
+                             count_vector(start) + " sums to " +
+                             std::to_string(total) + ", not 1");
+    }
   }
 }
 
@@ -341,6 +463,10 @@ void ExactChain::compute_classes() {
   for (std::size_t c = 0; c < classes_.size(); ++c) {
     for (const std::size_t v : classes_[c].members) class_of_[v] = c;
   }
+  transient_.clear();
+  for (std::size_t v = 0; v < m; ++v) {
+    if (!classes_[class_of_[v]].recurrent) transient_.push_back(v);
+  }
 }
 
 std::vector<std::size_t> ExactChain::recurrent_classes() const {
@@ -351,6 +477,33 @@ std::vector<std::size_t> ExactChain::recurrent_classes() const {
   return out;
 }
 
+void ExactChain::solve_transient(std::vector<double>& x, std::size_t width,
+                                 double base, double tol,
+                                 const char* what) const {
+  // (I - Q) is a strictly substochastic M-matrix, so the sweeps converge;
+  // the cap only stops a chain too slow to meet `tol` in time. A pinned
+  // recurrent entry adds prob * 1.0 == prob or prob * 0.0 to an
+  // accumulator that is >= +0, so pinning moves no bit against skipping.
+  constexpr std::size_t kMaxSweeps = 200000;
+  const auto sweep = [&] {
+    switch (width) {
+      case 1:
+        return sweep_transient<1>(rows_, transient_, width, base, x);
+      case 2:
+        return sweep_transient<2>(rows_, transient_, width, base, x);
+      case 3:
+        return sweep_transient<3>(rows_, transient_, width, base, x);
+      default:
+        return sweep_transient<0>(rows_, transient_, width, base, x);
+    }
+  };
+  for (std::size_t s = 0; s < kMaxSweeps; ++s) {
+    if (sweep() < tol) return;
+  }
+  throw ExactChainSolveError(unconverged(std::string(what) + " solve", tol,
+                                         kMaxSweeps, "Gauss-Seidel sweeps"));
+}
+
 std::vector<double> ExactChain::absorption_probabilities(
     std::size_t start) const {
   std::vector<double> result(classes_.size(), 0.0);
@@ -358,98 +511,29 @@ std::vector<double> ExactChain::absorption_probabilities(
     result[class_of_[start]] = 1.0;
     return result;
   }
+  // u_k(i) = sum_j P(i,j) u_k(j), every target class swept together; a
+  // state of recurrent class recurrent[k] is pinned to e_k.
   const std::vector<std::size_t> recurrent = recurrent_classes();
-
-  // Gauss-Seidel on u_k(i) = sum_j P(i,j) [j transient ? u_k(j) : 1{class
-  // j == k}] over the transient block, all target classes swept together.
-  // (I - Q) is a strictly substochastic M-matrix, so the sweeps converge.
-  const std::size_t m = states_.size();
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> slot(m, kNone);
-  std::vector<std::size_t> transient;
-  for (std::size_t v = 0; v < m; ++v) {
-    if (!classes_[class_of_[v]].recurrent) {
-      slot[v] = transient.size();
-      transient.push_back(v);
+  const std::size_t width = recurrent.size();
+  std::vector<double> u(states_.size() * width, 0.0);
+  for (std::size_t k = 0; k < width; ++k) {
+    for (const std::size_t v : classes_[recurrent[k]].members) {
+      u[v * width + k] = 1.0;
     }
   }
-  std::vector<std::vector<double>> u(
-      transient.size(), std::vector<double>(recurrent.size(), 0.0));
-  constexpr std::size_t kMaxSweeps = 200000;
-  constexpr double kTol = 1e-12;
-  for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    double worst = 0.0;
-    for (std::size_t t = 0; t < transient.size(); ++t) {
-      const std::size_t v = transient[t];
-      double self = 0.0;
-      std::vector<double> acc(recurrent.size(), 0.0);
-      for (const auto& [w, prob] : rows_[v]) {
-        if (w == v) {
-          self = prob;
-          continue;
-        }
-        if (slot[w] != kNone) {
-          const std::vector<double>& uw = u[slot[w]];
-          for (std::size_t k = 0; k < recurrent.size(); ++k) {
-            acc[k] += prob * uw[k];
-          }
-        } else {
-          for (std::size_t k = 0; k < recurrent.size(); ++k) {
-            if (class_of_[w] == recurrent[k]) acc[k] += prob;
-          }
-        }
-      }
-      for (std::size_t k = 0; k < recurrent.size(); ++k) {
-        const double next = acc[k] / (1.0 - self);
-        worst = std::max(worst, std::abs(next - u[t][k]));
-        u[t][k] = next;
-      }
-    }
-    if (worst < kTol) break;
-  }
-  const std::vector<double>& us = u[slot[start]];
-  for (std::size_t k = 0; k < recurrent.size(); ++k) {
-    result[recurrent[k]] = us[k];
+  solve_transient(u, width, 0.0, 1e-12, "absorption");
+  for (std::size_t k = 0; k < width; ++k) {
+    result[recurrent[k]] = u[start * width + k];
   }
   return result;
 }
 
 double ExactChain::expected_absorption_time(std::size_t start) const {
   if (classes_[class_of_.at(start)].recurrent) return 0.0;
-  const std::size_t m = states_.size();
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> slot(m, kNone);
-  std::vector<std::size_t> transient;
-  for (std::size_t v = 0; v < m; ++v) {
-    if (!classes_[class_of_[v]].recurrent) {
-      slot[v] = transient.size();
-      transient.push_back(v);
-    }
-  }
-  // Gauss-Seidel on t(i) = 1 + sum_{j transient} P(i,j) t(j).
-  std::vector<double> t(transient.size(), 0.0);
-  constexpr std::size_t kMaxSweeps = 200000;
-  constexpr double kTol = 1e-10;
-  for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    double worst = 0.0;
-    for (std::size_t i = 0; i < transient.size(); ++i) {
-      const std::size_t v = transient[i];
-      double self = 0.0;
-      double acc = 1.0;
-      for (const auto& [w, prob] : rows_[v]) {
-        if (w == v) {
-          self = prob;
-        } else if (slot[w] != kNone) {
-          acc += prob * t[slot[w]];
-        }
-      }
-      const double next = acc / (1.0 - self);
-      worst = std::max(worst, std::abs(next - t[i]));
-      t[i] = next;
-    }
-    if (worst < kTol) break;
-  }
-  return t[slot[start]];
+  // t(i) = 1 + sum_j P(i,j) t(j), recurrent states pinned to 0.
+  std::vector<double> t(states_.size(), 0.0);
+  solve_transient(t, 1, 1.0, 1e-10, "hitting-time");
+  return t[start];
 }
 
 std::vector<double> ExactChain::stationary_distribution() const {
@@ -474,7 +558,8 @@ std::vector<double> ExactChain::stationary_distribution() const {
   std::vector<double> next(members.size(), 0.0);
   constexpr std::size_t kMaxIters = 500000;
   constexpr double kTol = 1e-13;
-  for (std::size_t iter = 0; iter < kMaxIters; ++iter) {
+  bool converged = false;
+  for (std::size_t iter = 0; iter < kMaxIters && !converged; ++iter) {
     std::fill(next.begin(), next.end(), 0.0);
     for (std::size_t i = 0; i < members.size(); ++i) {
       const double mass = pi[i];
@@ -494,7 +579,11 @@ std::vector<double> ExactChain::stationary_distribution() const {
       delta += std::abs(next[i] - pi[i]);
     }
     pi.swap(next);
-    if (delta < kTol) break;
+    converged = delta < kTol;
+  }
+  if (!converged) {
+    throw ExactChainSolveError(unconverged("stationary power iteration",
+                                           kTol, kMaxIters, "iterations"));
   }
   std::vector<double> dist(m, 0.0);
   for (std::size_t i = 0; i < members.size(); ++i) dist[members[i]] = pi[i];

@@ -18,18 +18,28 @@
 //     absorbing classification, upgrading the reach.* occupancy fixpoint
 //     from "can mass ever get there" to "where does probability end up";
 //   * absorption probabilities and expected hitting times from the seeded
-//     start (sparse Gauss-Seidel solves of (I - Q) u = b, no new deps);
+//     start: one sparse Gauss-Seidel kernel over the transient block, with
+//     every recurrent state pinned (to the unit vector of its class for
+//     absorption, to 0 for the hitting time), no new deps;
 //   * the stationary distribution of an ergodic chain, whose mean and
 //     per-state count variance are compared against the mean-field fixed
 //     point and the CLT prediction of core/fluctuations.* by the exact.*
 //     rule family (analysis/exact_checks.hpp).
+//
+// The lattice is ranked, not searched: a count vector's index is its
+// combinatorial rank in lexicographic order, O(S) from a table of
+// C(r + k - 1, k - 1). Every kernel row is checked to sum to 1 within
+// 1e-12 after duplicate outcomes fold (std::logic_error otherwise).
 //
 // Budgets: `max_states` caps the lattice; `max_row_branches` caps the
 // outcome enumeration of a single kernel row (multi-action states branch
 // per binomial support). Exceeding either throws ExactChainBudgetError,
 // which the checks layer reports as an exact.state-budget finding instead
 // of an answer -- the exact tier is for small N by design, the mean-field
-// tier covers the rest.
+// tier covers the rest. The iterative solves fail closed the same way: a
+// solve that reaches its iteration cap without meeting its tolerance throws
+// ExactChainSolveError (an exact.solve-failed error finding), never
+// returning the unconverged iterate as a number.
 
 #include <cstddef>
 #include <cstdint>
@@ -65,6 +75,13 @@ class ExactChainBudgetError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// An iterative solve reached its iteration cap without meeting its
+/// tolerance; whatever it holds is not an answer.
+class ExactChainSolveError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// One communicating class of the chain (a strongly connected component
 /// of the kernel's support digraph). `recurrent` means closed: no
 /// transition leaves the class, so it traps probability forever.
@@ -77,9 +94,10 @@ struct CommunicatingClass {
 class ExactChain {
  public:
   /// Enumerate the lattice and build the exact kernel. Throws
-  /// ExactChainBudgetError when a budget is exceeded and
+  /// ExactChainBudgetError when a budget is exceeded,
   /// std::invalid_argument on malformed options (n == 0, stateless
-  /// machine, message_loss outside [0, 1]).
+  /// machine, message_loss outside [0, 1]) and std::logic_error when a
+  /// kernel row does not sum to 1 within 1e-12.
   ExactChain(const core::ProtocolStateMachine& machine,
              ExactChainOptions options);
 
@@ -101,7 +119,8 @@ class ExactChain {
     return states_.at(i);
   }
   /// Chain-state index of a count vector (entries beyond the machine's
-  /// states must be absent); nullopt when the counts do not sum to n.
+  /// states must be absent): its lexicographic rank, O(S). nullopt when
+  /// the counts do not sum to n.
   [[nodiscard]] std::optional<std::size_t> index_of(
       const std::vector<std::size_t>& counts) const;
   /// The seeded start the api layer uses: counts[s] processes in state s,
@@ -132,18 +151,24 @@ class ExactChain {
   /// P(absorbed into classes()[k] | start), one entry per class index k
   /// (zero for transient classes). A recurrent start absorbs into its own
   /// class with probability 1. Sparse Gauss-Seidel on the transient
-  /// block; rows sum to 1 up to the solver tolerance.
+  /// block, all recurrent classes swept together with each recurrent
+  /// state pinned to its class's unit vector; entries sum to 1 up to the
+  /// solver tolerance (1e-12 per sweep). Throws ExactChainSolveError when
+  /// 200000 sweeps do not meet it.
   [[nodiscard]] std::vector<double> absorption_probabilities(
       std::size_t start) const;
 
   /// Expected periods until the chain first enters any recurrent class,
-  /// from `start` (0 when the start is already recurrent).
+  /// from `start` (0 when the start is already recurrent). The same
+  /// Gauss-Seidel kernel with recurrent states pinned to 0 (tolerance
+  /// 1e-10); throws ExactChainSolveError at the same sweep cap.
   [[nodiscard]] double expected_absorption_time(std::size_t start) const;
 
   /// Stationary distribution over all chain states, supported on the
   /// unique recurrent class. Throws std::logic_error when the chain has
   /// more than one recurrent class (no unique stationary distribution --
-  /// use absorption_probabilities instead).
+  /// use absorption_probabilities instead), and ExactChainSolveError when
+  /// the power iteration does not converge within 500000 iterations.
   [[nodiscard]] std::vector<double> stationary_distribution() const;
 
   /// E[c_s] / n per machine state under a distribution over chain states.
@@ -157,13 +182,24 @@ class ExactChain {
   void enumerate_states();
   void build_kernel(const core::ProtocolStateMachine& machine);
   void compute_classes();
+  /// Gauss-Seidel on x(i) = (base + sum_{j != i} P(i,j) x(j)) / (1 - P(i,i))
+  /// over the transient states, `width` right-hand sides at once. `x` is
+  /// num_chain_states() x width, row-major; the recurrent rows hold the
+  /// pinned boundary values and are never written. Throws
+  /// ExactChainSolveError naming `what` at the sweep cap.
+  void solve_transient(std::vector<double>& x, std::size_t width, double base,
+                       double tol, const char* what) const;
 
   ExactChainOptions options_;
   std::size_t num_machine_states_ = 0;
   std::vector<std::vector<std::size_t>> states_;
+  /// compositions_[(k - 1) * (n + 1) + r] = C(r + k - 1, k - 1), the
+  /// number of count vectors over k states summing to r (k = 1..S).
+  std::vector<std::size_t> compositions_;
   std::vector<std::vector<std::pair<std::uint32_t, double>>> rows_;
   std::vector<CommunicatingClass> classes_;
   std::vector<std::size_t> class_of_;
+  std::vector<std::size_t> transient_;  ///< non-recurrent states, ascending
 };
 
 }  // namespace deproto::analysis

@@ -111,6 +111,123 @@ double distance_to_reference(const ExactChain& chain, std::size_t state,
   return best;
 }
 
+/// The exact.* verdicts on a built chain, appended to `findings` in
+/// rule order. A solve that hits its cap throws ExactChainSolveError;
+/// the findings appended before it came from converged solves.
+void add_verdicts(const core::ProtocolStateMachine& machine,
+                  const ExactChain& chain,
+                  const std::vector<std::size_t>& seed_counts,
+                  const ExactCheckOptions& options, double message_loss,
+                  std::vector<Finding>& findings) {
+  const std::size_t start = chain.seeded_index(seed_counts);
+  const SimplexEquilibria equilibria =
+      simplex_equilibria(machine, message_loss);
+  const std::vector<double> absorb = chain.absorption_probabilities(start);
+  const std::vector<std::size_t> recurrent = chain.recurrent_classes();
+
+  for (const std::size_t k : recurrent) {
+    const CommunicatingClass& cls = chain.classes()[k];
+    const std::string where =
+        cls.absorbing
+            ? "absorbing state " +
+                  count_point(machine, chain.state(cls.members.front()))
+            : "recurrent class of " + std::to_string(cls.members.size()) +
+                  " states incl. " +
+                  count_point(machine, chain.state(cls.members.front()));
+    findings.push_back(
+        {Severity::Info, "exact.absorbing-class", where,
+         "the chain is absorbed here with probability " + fmt(absorb[k]) +
+             " from the seeded start",
+         absorb[k]});
+
+    if (absorb[k] <= options.trap_prob_tol) continue;
+    if (equilibria.reference().empty()) continue;
+    double class_distance = std::numeric_limits<double>::infinity();
+    for (const std::size_t member : cls.members) {
+      class_distance = std::min(
+          class_distance,
+          distance_to_reference(chain, member, equilibria.reference()));
+    }
+    if (class_distance > options.divergence_tol) {
+      findings.push_back(
+          {Severity::Warning, "exact.transient-trap", where,
+           "absorbed with probability " + fmt(absorb[k]) +
+               " into a class at L-inf distance " + fmt(class_distance) +
+               " from every mean-field equilibrium: a finite-N trap the "
+               "mean field does not predict",
+           absorb[k]});
+    }
+  }
+
+  if (!chain.classes()[chain.class_of(start)].recurrent) {
+    const double hitting = chain.expected_absorption_time(start);
+    findings.push_back(
+        {Severity::Info, "exact.hitting-time",
+         "start " + count_point(machine, chain.state(start)),
+         "expected " + fmt(hitting) +
+             " periods until absorption into a recurrent class",
+         hitting});
+  }
+
+  if (recurrent.size() == 1 && !equilibria.reference().empty()) {
+    const std::vector<double> dist = chain.stationary_distribution();
+    const num::Vec mean = chain.mean_fractions(dist);
+    std::size_t nearest = 0;
+    double best = std::numeric_limits<double>::infinity();
+    const std::vector<num::Vec>& reference = equilibria.reference();
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const double d = linf_distance(mean, reference[i]);
+      if (d < best) {
+        best = d;
+        nearest = i;
+      }
+    }
+    findings.push_back(
+        {best > options.divergence_tol ? Severity::Warning : Severity::Info,
+         "exact.meanfield-divergence", fraction_point(machine, mean),
+         "exact stationary mean vs mean-field equilibrium " +
+             fraction_point(machine, reference[nearest]) +
+             ": L-inf distance " + fmt(best) + " at n = " +
+             std::to_string(options.n),
+         best});
+
+    // CLT cross-check, only against a *stable* equilibrium (the
+    // linear-noise prediction requires one; stationary_fluctuations
+    // throws otherwise, which simply means there is nothing to compare).
+    if (!equilibria.stable.empty()) {
+      try {
+        const core::FluctuationReport clt = core::stationary_fluctuations(
+            machine, reference[nearest], static_cast<double>(options.n),
+            message_loss);
+        const num::Vec exact_stddev = chain.count_stddev(dist);
+        double gap = 0.0;
+        std::size_t gap_state = 0;
+        for (std::size_t s = 0; s < exact_stddev.size(); ++s) {
+          if (clt.count_stddev[s] < 1e-9) continue;
+          const double rel =
+              std::abs(exact_stddev[s] / clt.count_stddev[s] - 1.0);
+          if (rel > gap) {
+            gap = rel;
+            gap_state = s;
+          }
+        }
+        findings.push_back(
+            {gap > options.fluctuation_tol ? Severity::Warning
+                                           : Severity::Info,
+             "exact.fluctuation-mismatch",
+             "state " + machine.state_name(gap_state),
+             "exact stationary count stddev " + fmt(exact_stddev[gap_state]) +
+                 " vs CLT prediction " + fmt(clt.count_stddev[gap_state]) +
+                 " (relative gap " + fmt(gap) + ") at n = " +
+                 std::to_string(options.n),
+             gap});
+      } catch (const std::runtime_error&) {
+        // Nearest equilibrium not stable enough for the Lyapunov solve.
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<Finding> check_exact(const core::ProtocolStateMachine& machine,
@@ -153,114 +270,16 @@ std::vector<Finding> check_exact(const core::ProtocolStateMachine& machine,
     return findings;
   }
 
-  const std::size_t start = chain->seeded_index(seed_counts);
-  const SimplexEquilibria equilibria =
-      simplex_equilibria(machine, message_loss);
-  const std::vector<double> absorb = chain->absorption_probabilities(start);
-  const std::vector<std::size_t> recurrent = chain->recurrent_classes();
-
-  for (const std::size_t k : recurrent) {
-    const CommunicatingClass& cls = chain->classes()[k];
-    const std::string where =
-        cls.absorbing
-            ? "absorbing state " +
-                  count_point(machine, chain->state(cls.members.front()))
-            : "recurrent class of " + std::to_string(cls.members.size()) +
-                  " states incl. " +
-                  count_point(machine, chain->state(cls.members.front()));
-    findings.push_back(
-        {Severity::Info, "exact.absorbing-class", where,
-         "the chain is absorbed here with probability " + fmt(absorb[k]) +
-             " from the seeded start",
-         absorb[k]});
-
-    if (absorb[k] <= options.trap_prob_tol) continue;
-    if (equilibria.reference().empty()) continue;
-    double class_distance = std::numeric_limits<double>::infinity();
-    for (const std::size_t member : cls.members) {
-      class_distance = std::min(
-          class_distance,
-          distance_to_reference(*chain, member, equilibria.reference()));
-    }
-    if (class_distance > options.divergence_tol) {
-      findings.push_back(
-          {Severity::Warning, "exact.transient-trap", where,
-           "absorbed with probability " + fmt(absorb[k]) +
-               " into a class at L-inf distance " + fmt(class_distance) +
-               " from every mean-field equilibrium: a finite-N trap the "
-               "mean field does not predict",
-           absorb[k]});
-    }
+  try {
+    add_verdicts(machine, *chain, seed_counts, options, message_loss,
+                 findings);
+  } catch (const ExactChainSolveError& e) {
+    findings.push_back({Severity::Error, "exact.solve-failed", "exact chain",
+                        std::string(e.what()) +
+                            ": the exact tier has no verdict for this "
+                            "chain",
+                        0.0});
   }
-
-  if (!chain->classes()[chain->class_of(start)].recurrent) {
-    const double hitting = chain->expected_absorption_time(start);
-    findings.push_back(
-        {Severity::Info, "exact.hitting-time",
-         "start " + count_point(machine, chain->state(start)),
-         "expected " + fmt(hitting) +
-             " periods until absorption into a recurrent class",
-         hitting});
-  }
-
-  if (recurrent.size() == 1 && !equilibria.reference().empty()) {
-    const std::vector<double> dist = chain->stationary_distribution();
-    const num::Vec mean = chain->mean_fractions(dist);
-    std::size_t nearest = 0;
-    double best = std::numeric_limits<double>::infinity();
-    const std::vector<num::Vec>& reference = equilibria.reference();
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      const double d = linf_distance(mean, reference[i]);
-      if (d < best) {
-        best = d;
-        nearest = i;
-      }
-    }
-    findings.push_back(
-        {best > options.divergence_tol ? Severity::Warning : Severity::Info,
-         "exact.meanfield-divergence", fraction_point(machine, mean),
-         "exact stationary mean vs mean-field equilibrium " +
-             fraction_point(machine, reference[nearest]) +
-             ": L-inf distance " + fmt(best) + " at n = " +
-             std::to_string(options.n),
-         best});
-
-    // CLT cross-check, only against a *stable* equilibrium (the
-    // linear-noise prediction requires one; stationary_fluctuations
-    // throws otherwise, which simply means there is nothing to compare).
-    if (!equilibria.stable.empty()) {
-      try {
-        const core::FluctuationReport clt = core::stationary_fluctuations(
-            machine, reference[nearest], static_cast<double>(options.n),
-            message_loss);
-        const num::Vec exact_stddev = chain->count_stddev(dist);
-        double gap = 0.0;
-        std::size_t gap_state = 0;
-        for (std::size_t s = 0; s < exact_stddev.size(); ++s) {
-          if (clt.count_stddev[s] < 1e-9) continue;
-          const double rel =
-              std::abs(exact_stddev[s] / clt.count_stddev[s] - 1.0);
-          if (rel > gap) {
-            gap = rel;
-            gap_state = s;
-          }
-        }
-        findings.push_back(
-            {gap > options.fluctuation_tol ? Severity::Warning
-                                           : Severity::Info,
-             "exact.fluctuation-mismatch",
-             "state " + machine.state_name(gap_state),
-             "exact stationary count stddev " + fmt(exact_stddev[gap_state]) +
-                 " vs CLT prediction " + fmt(clt.count_stddev[gap_state]) +
-                 " (relative gap " + fmt(gap) + ") at n = " +
-                 std::to_string(options.n),
-             gap});
-      } catch (const std::runtime_error&) {
-        // Nearest equilibrium not stable enough for the Lyapunov solve.
-      }
-    }
-  }
-
   return findings;
 }
 

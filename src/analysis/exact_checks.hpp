@@ -36,10 +36,17 @@
 //                                         CLT prediction of
 //                                         core/fluctuations.*; warning
 //                                         past fluctuation_tol
+//   exact.solve-failed          (error)   an absorption, hitting-time or
+//                                         stationary solve reached its
+//                                         iteration cap unconverged; the
+//                                         verdicts it would feed are
+//                                         withheld, never guessed
 //
-// All exact.* severities are at most warning: a finite-N divergence is a
+// The verdict rules are at most warning: a finite-N divergence is a
 // judgement call about scale, not a broken machine, so suppressions and
 // --strict keep working the same way they do for the mean-field rules.
+// exact.solve-failed is the one error: a number the tier cannot vouch
+// for must stop a gate, not pass it.
 
 #include <cstddef>
 #include <vector>
@@ -78,7 +85,7 @@ struct ExactCheckOptions {
 /// remainder seeds state 0, matching sim::Simulator::seed_states);
 /// `message_loss` and `tokens` mirror the runtime options the count
 /// backend would run with. Budget overruns become the exact.state-budget
-/// finding, never an exception.
+/// finding and capped solves exact.solve-failed, never an exception.
 [[nodiscard]] std::vector<Finding> check_exact(
     const core::ProtocolStateMachine& machine,
     const std::vector<std::size_t>& seed_counts,

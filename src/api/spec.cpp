@@ -85,13 +85,6 @@ sim::RuntimeOptions runtime_from_json(const Json& j) {
   sim::RuntimeOptions o;
   o.message_loss = finite(j.get_or("message_loss", o.message_loss),
                           "runtime.message_loss");
-  // Probabilities are validated here, at parse time, so a bad sweep axis
-  // value fails before any backend is stood up (the backends' own checks
-  // would catch it later, but mid-launch and with a vaguer message).
-  if (o.message_loss < 0.0 || o.message_loss > 1.0) {
-    throw SpecError("runtime.message_loss: must lie in [0, 1], got " +
-                    std::to_string(o.message_loss));
-  }
   const std::string mode = j.get_or("token_mode", std::string("directory"));
   if (mode == "directory") {
     o.tokens.mode = sim::TokenRouting::Mode::Directory;
@@ -109,6 +102,7 @@ sim::RuntimeOptions runtime_from_json(const Json& j) {
       j.get_or("simultaneous_updates", o.simultaneous_updates);
   o.verify_static = j.get_or("verify_static", o.verify_static);
   o.verify_exact = j.get_or("verify_exact", o.verify_exact);
+  validate_runtime(o);
   return o;
 }
 
@@ -272,6 +266,10 @@ void FaultPlan::validate() const {
   require_positive(churn.mean_downtime_hours,
                    "faults.churn.mean_downtime_hours");
   require_positive(churn.periods_per_hour, "faults.churn.periods_per_hour");
+}
+
+void validate_runtime(const sim::RuntimeOptions& runtime) {
+  require_within(runtime.message_loss, 0.0, 1.0, "runtime.message_loss");
 }
 
 const char* backend_name(Backend backend) {

@@ -91,6 +91,12 @@ struct FaultPlan {
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
 
+/// Throws SpecError naming the first runtime field outside its range:
+/// message_loss in [0, 1]. Parsing runs it, so a bad spec fails before any
+/// backend is stood up; so does Experiment::launch, for specs built in
+/// code or by a sweep axis.
+void validate_runtime(const sim::RuntimeOptions& runtime);
+
 /// Execution backend: per-node round-synchronous (Sync), per-node fully
 /// asynchronous (Event), count-based O(states)-per-period (Count),
 /// real UDP sockets on loopback (Net, one socket per node -- capped at

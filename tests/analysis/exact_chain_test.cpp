@@ -26,6 +26,7 @@ using deproto::analysis::CommunicatingClass;
 using deproto::analysis::ExactChain;
 using deproto::analysis::ExactChainBudgetError;
 using deproto::analysis::ExactChainOptions;
+using deproto::analysis::ExactChainSolveError;
 using deproto::analysis::ExactCheckOptions;
 using deproto::analysis::Finding;
 using deproto::analysis::Severity;
@@ -47,6 +48,36 @@ ProtocolStateMachine two_way_flip(double a, double b) {
   flip.coin_bias = b;
   flip.rate_constant = b;
   machine.add_action(flip);
+  return machine;
+}
+
+/// `states` states and no action: every count vector is absorbing, so
+/// the chain is the bare lattice.
+ProtocolStateMachine inert(std::size_t states) {
+  std::vector<std::string> names;
+  for (std::size_t s = 0; s < states; ++s) {
+    names.push_back("s" + std::to_string(s));
+  }
+  return ProtocolStateMachine(names);
+}
+
+/// One process, A -> B (bias 1), then B -> C (bias 1e-6) before B -> A
+/// (bias 1): C absorbs, but Gauss-Seidel over {A, B} contracts by only
+/// 1 - 1e-6 per sweep, ~1e7 sweeps to meet the tolerances -- far past the
+/// cap.
+ProtocolStateMachine slow_leak() {
+  ProtocolStateMachine machine({"a", "b", "c"});
+  deproto::core::FlippingAction flip;
+  const auto add = [&](std::size_t from, std::size_t to, double bias) {
+    flip.from_state = from;
+    flip.to_state = to;
+    flip.coin_bias = bias;
+    flip.rate_constant = bias;
+    machine.add_action(flip);
+  };
+  add(0, 1, 1.0);
+  add(1, 2, 1e-6);
+  add(1, 0, 1.0);
   return machine;
 }
 
@@ -103,6 +134,43 @@ TEST(ExactChainTest, EnumerationCoversTheLatticeSortedAndInvertible) {
     EXPECT_EQ(chain.index_of(counts), i);
   }
   EXPECT_FALSE(chain.index_of({4, 4}).has_value()) << "does not sum to n";
+}
+
+TEST(ExactChainTest, RankRoundTripsOverTheLattice) {
+  // index_of is the lexicographic rank computed from the composition
+  // table, not a search: it must invert state() on every lattice point.
+  for (std::size_t states = 2; states <= 5; ++states) {
+    for (const std::size_t n : {1u, 7u, 18u}) {
+      ExactChainOptions options;
+      options.n = n;
+      const ExactChain chain(inert(states), options);
+      ASSERT_EQ(chain.num_chain_states(),
+                ExactChain::state_space_size(states, n));
+      for (std::size_t i = 0; i < chain.num_chain_states(); ++i) {
+        ASSERT_EQ(chain.index_of(chain.state(i)), i)
+            << "S=" << states << " n=" << n << " i=" << i;
+        if (i > 0) {
+          ASSERT_LT(chain.state(i - 1), chain.state(i));
+        }
+      }
+    }
+  }
+}
+
+TEST(ExactChainTest, IndexOfRejectsCountsOffTheLattice) {
+  ExactChainOptions options;
+  options.n = 7;
+  const ExactChain chain(inert(3), options);
+  EXPECT_FALSE(chain.index_of({2, 2, 2}).has_value()) << "sums to 6";
+  EXPECT_FALSE(chain.index_of({2, 2, 4}).has_value()) << "sums to 8";
+  EXPECT_FALSE(chain.index_of({8, 0, 0}).has_value()) << "entry above n";
+  EXPECT_FALSE(chain.index_of({7, 0}).has_value()) << "too few states";
+  EXPECT_FALSE(chain.index_of({7, 0, 0, 0}).has_value()) << "too many";
+  // Entries whose sum wraps around to n are still off the lattice.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_FALSE(chain.index_of({8, kMax, 0}).has_value());
+  EXPECT_EQ(chain.index_of({7, 0, 0}), chain.num_chain_states() - 1);
+  EXPECT_EQ(chain.index_of({0, 0, 7}), 0u);
 }
 
 TEST(ExactChainTest, SeededIndexPadsTheRemainderIntoStateZero) {
@@ -297,7 +365,85 @@ TEST(ExactChainTest, StationaryDistributionThrowsWithTwoRecurrentClasses) {
   EXPECT_THROW((void)chain.stationary_distribution(), std::logic_error);
 }
 
+TEST(ExactChainTest, AbsorptionIntoManyClassesIsMultinomial) {
+  // s0 leaves for s1..s4 with probability 1/4 each (biases 1/4, 1/3, 1/2,
+  // 1 in firing order) and s1..s4 are absorbing. At n = 2 that is ten
+  // recurrent classes, past the solver's fixed widths, and the absorption
+  // law is Multinomial(2; 1/4, 1/4, 1/4, 1/4).
+  ProtocolStateMachine machine({"s0", "s1", "s2", "s3", "s4"});
+  deproto::core::FlippingAction flip;
+  flip.from_state = 0;
+  const double biases[] = {0.25, 1.0 / 3.0, 0.5, 1.0};
+  for (std::size_t to = 1; to <= 4; ++to) {
+    flip.to_state = to;
+    flip.coin_bias = biases[to - 1];
+    flip.rate_constant = biases[to - 1];
+    machine.add_action(flip);
+  }
+  ExactChainOptions options;
+  options.n = 2;
+  const ExactChain chain(machine, options);
+  ASSERT_EQ(chain.recurrent_classes().size(), 10u);
+  const std::size_t start = *chain.index_of({2, 0, 0, 0, 0});
+  const std::vector<double> absorb = chain.absorption_probabilities(start);
+  const auto absorbed = [&](std::vector<std::size_t> counts) {
+    return absorb[chain.class_of(*chain.index_of(counts))];
+  };
+  EXPECT_NEAR(absorbed({0, 2, 0, 0, 0}), 1.0 / 16.0, 1e-12);
+  EXPECT_NEAR(absorbed({0, 0, 0, 0, 2}), 1.0 / 16.0, 1e-12);
+  EXPECT_NEAR(absorbed({0, 1, 1, 0, 0}), 2.0 / 16.0, 1e-12);
+  EXPECT_NEAR(absorbed({0, 0, 1, 0, 1}), 2.0 / 16.0, 1e-12);
+  double total = 0.0;
+  for (const double p : absorb) total += p;
+  EXPECT_NEAR(total, 1.0, 1e-12);
+  EXPECT_NEAR(chain.expected_absorption_time(start), 1.0, 1e-12);
+}
+
+TEST(ExactChainTest, CappedSolvesThrowInsteadOfReturningTheIterate) {
+  ExactChainOptions options;
+  options.n = 1;
+  const ExactChain chain(slow_leak(), options);
+  const std::size_t start = *chain.index_of({1, 0, 0});
+  ASSERT_FALSE(chain.classes()[chain.class_of(start)].recurrent);
+  EXPECT_THROW((void)chain.absorption_probabilities(start),
+               ExactChainSolveError);
+  EXPECT_THROW((void)chain.expected_absorption_time(start),
+               ExactChainSolveError);
+}
+
+TEST(ExactChainTest, CappedStationaryIterationThrowsSolveError) {
+  // Flip rates 1e-6 / 2e-6: the damped power iteration contracts by
+  // 1 - 1.5e-6 per step, ~1e7 steps to 1e-13 -- past the 500000 cap.
+  ExactChainOptions options;
+  options.n = 1;
+  const ExactChain chain(two_way_flip(1e-6, 2e-6), options);
+  ASSERT_EQ(chain.recurrent_classes().size(), 1u);
+  EXPECT_THROW((void)chain.stationary_distribution(), ExactChainSolveError);
+}
+
 // ------------------------------------------------------------ exact.* rules
+
+TEST(ExactChecksTest, CappedSolveBecomesAnErrorFindingNotANumber) {
+  ExactCheckOptions options;
+  options.n = 1;
+  const auto absorbing =
+      deproto::analysis::check_exact(slow_leak(), {1, 0, 0}, options);
+  const Finding* failed = find_rule(absorbing, "exact.solve-failed");
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->severity, Severity::Error);
+  EXPECT_NE(failed->message.find("absorption solve did not converge to "
+                                 "1e-12 within 200000 Gauss-Seidel sweeps"),
+            std::string::npos)
+      << failed->message;
+  EXPECT_EQ(find_rule(absorbing, "exact.absorbing-class"), nullptr);
+  EXPECT_EQ(find_rule(absorbing, "exact.hitting-time"), nullptr);
+
+  const auto ergodic =
+      deproto::analysis::check_exact(two_way_flip(1e-6, 2e-6), {1}, options);
+  EXPECT_TRUE(has_rule(ergodic, "exact.solve-failed", Severity::Error));
+  EXPECT_EQ(find_rule(ergodic, "exact.meanfield-divergence"), nullptr);
+  EXPECT_EQ(find_rule(ergodic, "exact.fluctuation-mismatch"), nullptr);
+}
 
 TEST(ExactChecksTest, EpidemicFindingsReportCertainAbsorption) {
   ExactCheckOptions options;

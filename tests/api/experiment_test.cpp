@@ -241,6 +241,21 @@ TEST(ExperimentTest, LaunchValidatesFaultPlansBuiltInCode) {
   }
 }
 
+TEST(ExperimentTest, LaunchValidatesRuntimeBuiltInCode) {
+  // The parse-time [0, 1] check on message_loss runs again at launch, so
+  // a spec built in code cannot stand up a backend with loss 1.5.
+  ScenarioSpec spec = registry_get("epidemic").scaled_to(50);
+  spec.runtime.message_loss = 1.5;
+  try {
+    (void)Experiment(spec).launch();
+    ADD_FAILURE() << "launched with runtime.message_loss = 1.5";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("runtime.message_loss"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ExperimentTest, PerNodeBackendsRejectUnaddressableNBeforeAllocating) {
   // sim::ProcessId is 32 bits, so a per-node backend cannot address more
   // than 2^32 processes. The bound is checked before the group is built:

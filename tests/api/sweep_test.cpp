@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "api/experiment.hpp"
 #include "api/registry.hpp"
@@ -237,6 +239,37 @@ TEST(SweepSpecTest, RejectsUnknownFieldsIndicesAndTypes) {
                    spec, "synthesis.p",
                    Json::number(std::numeric_limits<double>::quiet_NaN())),
                SpecError);
+}
+
+TEST(SweepSpecTest, OutOfRangeLossAxisFailsItsJobNamingTheField) {
+  // An axis writes runtime.message_loss raw; the launch-time check turns
+  // the 1.5 point into a SpecError instead of a sync run with loss 1.5.
+  SweepSpec sweep;
+  sweep.base = small_base();
+  sweep.axes.push_back(
+      SweepAxis{"runtime.message_loss", {num(0.1), num(1.5)}});
+  const std::vector<SweepJob> jobs = sweep.expand();
+  ASSERT_EQ(jobs.size(), 2U);
+  try {
+    (void)Experiment(jobs[1].spec).launch();
+    ADD_FAILURE() << "launched the runtime.message_loss = 1.5 point";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("runtime.message_loss"),
+              std::string::npos)
+        << e.what();
+  }
+
+  SuiteOptions options;
+  options.threads = 1;
+  options.store_results = false;
+  const SweepResult result = SuiteRunner(options).run(sweep);
+  EXPECT_EQ(result.jobs_failed, 1U);
+  ASSERT_EQ(result.jobs.size(), 2U);
+  EXPECT_TRUE(result.jobs[0].ok) << result.jobs[0].error;
+  EXPECT_FALSE(result.jobs[1].ok);
+  EXPECT_NE(result.jobs[1].error.find("runtime.message_loss"),
+            std::string::npos)
+      << result.jobs[1].error;
 }
 
 TEST(SweepSpecTest, JobNamesEncodeCoordinatesAndReplicate) {
