@@ -168,8 +168,11 @@ class RowEnumerator {
   sim::CountTally tally_;  // probes and token traffic: unused here
 };
 
-/// One Gauss-Seidel sweep of ExactChain::solve_transient at compile-time width W
-/// (W == 0: the runtime `width`). Returns the largest change of any entry.
+/// One Gauss-Seidel sweep of ExactChain::solve_transient at compile-time
+/// width W (W == 0: the runtime `width`). Returns the largest change of
+/// any entry. A compile-time W keeps a row's accumulators in registers;
+/// through memory one latency-bound add chain per right-hand side runs
+/// about 3x slower.
 template <std::size_t W>
 double sweep_transient(
     const std::vector<std::vector<std::pair<std::uint32_t, double>>>& rows,
@@ -221,6 +224,33 @@ std::string count_vector(const std::vector<std::size_t>& counts) {
 }
 
 }  // namespace
+
+void fold_kernel_row(std::vector<std::pair<std::uint32_t, double>>& row,
+                     const std::vector<std::size_t>& start) {
+  // std::sort, not a stable sort: its order decides which duplicates add
+  // first, and the pinned exact-lint digests hold those bytes.
+  std::sort(row.begin(), row.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::size_t write = 0;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (write > 0 && row[write - 1].first == row[i].first) {
+      row[write - 1].second += row[i].second;
+    } else {
+      row[write++] = row[i];
+    }
+  }
+  row.resize(write);
+
+  double total = 0.0;
+  for (const auto& entry : row) total += entry.second;
+  if (!(std::abs(total - 1.0) <= 1e-12)) {
+    char sum_text[32];
+    std::snprintf(sum_text, sizeof(sum_text), "%.17g", total);
+    throw ExactChainKernelError("ExactChain: kernel row of " +
+                                count_vector(start) + " sums to " + sum_text +
+                                ", not 1");
+  }
+}
 
 std::size_t ExactChain::state_space_size(std::size_t num_states,
                                          std::size_t n) {
@@ -352,34 +382,14 @@ void ExactChain::build_kernel(const core::ProtocolStateMachine& machine) {
         start, [&](const std::vector<std::size_t>& counts, double prob) {
           const std::optional<std::size_t> column = index_of(counts);
           if (!column) {
-            throw std::logic_error("ExactChain: the period from " +
-                                   count_vector(start) +
-                                   " left the lattice at " +
-                                   count_vector(counts));
+            throw ExactChainKernelError(
+                "ExactChain: the period from " + count_vector(start) +
+                " left the lattice at " + count_vector(counts));
           }
           row.emplace_back(static_cast<std::uint32_t>(*column), prob);
         });
 
-    // Fold duplicate outcomes and store the row sparse and sorted.
-    std::sort(row.begin(), row.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::size_t write = 0;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (write > 0 && row[write - 1].first == row[i].first) {
-        row[write - 1].second += row[i].second;
-      } else {
-        row[write++] = row[i];
-      }
-    }
-    row.resize(write);
-
-    double total = 0.0;
-    for (const auto& entry : row) total += entry.second;
-    if (!(std::abs(total - 1.0) <= 1e-12)) {
-      throw std::logic_error("ExactChain: kernel row of " +
-                             count_vector(start) + " sums to " +
-                             std::to_string(total) + ", not 1");
-    }
+    fold_kernel_row(row, start);
   }
 }
 
@@ -485,12 +495,13 @@ void ExactChain::solve_transient(std::vector<double>& x, std::size_t width,
   // recurrent entry adds prob * 1.0 == prob or prob * 0.0 to an
   // accumulator that is >= +0, so pinning moves no bit against skipping.
   constexpr std::size_t kMaxSweeps = 200000;
+  // Width 1 is every hitting-time solve and a single recurrent class
+  // (endemic), width 3 the LV-majority chains; nothing else the registry
+  // builds takes measurable time.
   const auto sweep = [&] {
     switch (width) {
       case 1:
         return sweep_transient<1>(rows_, transient_, width, base, x);
-      case 2:
-        return sweep_transient<2>(rows_, transient_, width, base, x);
       case 3:
         return sweep_transient<3>(rows_, transient_, width, base, x);
       default:

@@ -268,6 +268,14 @@ std::vector<Finding> check_exact(const core::ProtocolStateMachine& machine,
                             "raise the budget)",
                         static_cast<double>(lattice)});
     return findings;
+  } catch (const ExactChainKernelError& e) {
+    findings.push_back({Severity::Error, "exact.kernel-invalid",
+                        "exact chain",
+                        std::string(e.what()) +
+                            ": the exact tier has no verdict for this "
+                            "chain",
+                        0.0});
+    return findings;
   }
 
   try {

@@ -41,12 +41,16 @@
 //                                         iteration cap unconverged; the
 //                                         verdicts it would feed are
 //                                         withheld, never guessed
+//   exact.kernel-invalid        (error)   a kernel row left the lattice
+//                                         or did not sum to 1 within
+//                                         1e-12; no verdict is drawn
+//                                         from that chain
 //
 // The verdict rules are at most warning: a finite-N divergence is a
 // judgement call about scale, not a broken machine, so suppressions and
 // --strict keep working the same way they do for the mean-field rules.
-// exact.solve-failed is the one error: a number the tier cannot vouch
-// for must stop a gate, not pass it.
+// exact.solve-failed and exact.kernel-invalid are the errors: a number
+// the tier cannot vouch for must stop a gate, not pass it.
 
 #include <cstddef>
 #include <vector>
@@ -85,7 +89,9 @@ struct ExactCheckOptions {
 /// remainder seeds state 0, matching sim::Simulator::seed_states);
 /// `message_loss` and `tokens` mirror the runtime options the count
 /// backend would run with. Budget overruns become the exact.state-budget
-/// finding and capped solves exact.solve-failed, never an exception.
+/// finding, a broken kernel row exact.kernel-invalid and capped solves
+/// exact.solve-failed, never an exception, so a registry run reports
+/// every spec.
 [[nodiscard]] std::vector<Finding> check_exact(
     const core::ProtocolStateMachine& machine,
     const std::vector<std::size_t>& seed_counts,

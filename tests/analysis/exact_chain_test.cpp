@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/exact_checks.hpp"
@@ -25,6 +27,7 @@ namespace {
 using deproto::analysis::CommunicatingClass;
 using deproto::analysis::ExactChain;
 using deproto::analysis::ExactChainBudgetError;
+using deproto::analysis::ExactChainKernelError;
 using deproto::analysis::ExactChainOptions;
 using deproto::analysis::ExactChainSolveError;
 using deproto::analysis::ExactCheckOptions;
@@ -199,6 +202,38 @@ TEST(ExactChainTest, RowBranchBudgetThrowsBudgetError) {
 }
 
 // --------------------------------------------------- kernel stochasticity
+
+TEST(ExactChainTest, FoldKernelRowSortsAndMergesDuplicateColumns) {
+  std::vector<std::pair<std::uint32_t, double>> row = {
+      {4, 0.25}, {1, 0.125}, {4, 0.5}, {0, 0.125}};
+  deproto::analysis::fold_kernel_row(row, {2, 1});
+  const std::vector<std::pair<std::uint32_t, double>> folded = {
+      {0, 0.125}, {1, 0.125}, {4, 0.75}};
+  EXPECT_EQ(row, folded);
+}
+
+TEST(ExactChainTest, FoldKernelRowRejectsARowThatDoesNotSumToOne) {
+  // 0.5 + 0.25 short by a quarter, and a row 1e-11 over: both past the
+  // 1e-12 bound. The error names the count vector the row leaves from.
+  std::vector<std::pair<std::uint32_t, double>> short_row = {{0, 0.5},
+                                                             {0, 0.25}};
+  try {
+    deproto::analysis::fold_kernel_row(short_row, {2, 0});
+    FAIL() << "expected ExactChainKernelError";
+  } catch (const ExactChainKernelError& e) {
+    EXPECT_NE(std::string(e.what()).find("(2, 0)"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("0.75"), std::string::npos)
+        << e.what();
+  }
+  std::vector<std::pair<std::uint32_t, double>> over_row = {{0, 0.5},
+                                                            {3, 0.5 + 1e-11}};
+  EXPECT_THROW(deproto::analysis::fold_kernel_row(over_row, {1, 1}),
+               ExactChainKernelError);
+  std::vector<std::pair<std::uint32_t, double>> exact_row = {{0, 0.5},
+                                                             {3, 0.5}};
+  EXPECT_NO_THROW(deproto::analysis::fold_kernel_row(exact_row, {1, 1}));
+}
 
 TEST(ExactChainTest, EpidemicKernelRowsAreStochastic) {
   ExactChainOptions options;
