@@ -286,9 +286,11 @@ ExperimentRun Experiment::launch_impl() {
                     " processes a per-node backend (" + backend_name(backend) +
                     ") can address; larger populations need backend count");
   }
-  // Parsing validates the runtime and the fault plan already; a spec built
-  // in code or by a sweep axis reaches here unchecked.
+  // Parsing validates the runtime, the clock drift and the fault plan
+  // already; a spec built in code or by a sweep axis reaches here
+  // unchecked.
   validate_runtime(spec_.runtime);
+  validate_clock_drift(spec_.clock_drift);
   spec_.faults.validate();
   if (spec_.runtime.verify_static || spec_.runtime.verify_exact) {
     // Opt-in pre-flight: refuse to stand up a backend for a machine or

@@ -118,8 +118,7 @@ std::string sha256_hex(const std::string& bytes) {
   return hex;
 }
 
-ResultCache::ResultCache(std::filesystem::path dir, std::string salt)
-    : dir_(std::move(dir)), salt_(std::move(salt)) {
+ResultCache::ResultCache(std::filesystem::path dir) : dir_(std::move(dir)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (!std::filesystem::is_directory(dir_)) {
@@ -130,13 +129,11 @@ ResultCache::ResultCache(std::filesystem::path dir, std::string salt)
 
 std::string ResultCache::key_for_dump(const std::string& spec_dump) const {
   // The canonical compact dump is the content being addressed; the header
-  // folds in the format version and the user salt so either one changing
-  // invalidates every key at once.
+  // folds in the format version so a new one invalidates every key at
+  // once. The empty line is format v3's salt slot.
   std::string material = "deproto-result-cache/v";
   material += std::to_string(kFormatVersion);
-  material += '\n';
-  material += salt_;
-  material += '\n';
+  material += "\n\n";
   material += spec_dump;
   return sha256_hex(material);
 }
@@ -162,14 +159,13 @@ ResultCache::EntryRead ResultCache::read_entry(
     const std::size_t split = contents.find('\n');
     if (split == std::string::npos) return EntryRead::Corrupt;
     const Json header = Json::parse(contents.substr(0, split));
-    // Self-verification: format, salt, and the full stored spec must
+    // Self-verification: format and the full stored spec must
     // match. The spec comparison turns a (vanishingly unlikely) hash
     // collision into a miss instead of a silently wrong replay, and
     // doubles as the stale-format check for older entries (their header
     // parses, the format test fails).
     if (header.at("format").as_size() !=
             static_cast<std::size_t>(kFormatVersion) ||
-        header.get_or("salt", std::string()) != salt_ ||
         header.at("spec").dump() != spec_dump) {
       return EntryRead::Corrupt;
     }
@@ -227,7 +223,7 @@ void ResultCache::store(const ScenarioSpec& spec,
   // one machine's timing into every later replay.
   Json header = Json::object();
   header.set("format", Json::number(kFormatVersion));
-  header.set("salt", Json::string(salt_));
+  header.set("salt", Json::string(std::string()));  // format v3's slot
   header.set("spec", std::move(spec_json));
   header.set("result_bytes", Json::number(result_dump.size()));
 

@@ -4,8 +4,8 @@
 // work a sweep re-executes after editing one axis is the SweepJob, and a
 // job is fully determined by its concrete ScenarioSpec (sweep expansion
 // bakes the replicate seed into spec.seed). So the cache key is a SHA-256
-// over the canonical compact ScenarioSpec JSON plus a cache-format/code
-// salt, and the cached payload is the job's deterministic
+// over the canonical compact ScenarioSpec JSON plus the cache-format
+// version, and the cached payload is the job's deterministic
 // ExperimentResult::to_json(false) document -- a warm replay parses to a
 // result whose re-dump is byte-identical to the cold run's.
 //
@@ -15,10 +15,11 @@
 //   SuiteRunner(options).run(sweep);         // write-through-after
 //
 // Entries are self-describing two-line files named <key>.json: line one
-// is a header object (format version, salt, the full spec, and the body's
-// byte count), line two the canonical result dump. Anything that fails to
-// open, parse, or validate (truncated write, stale format, salt mismatch,
-// hash collision) is treated as a miss, re-run, and atomically
+// is a header object (format version, an empty "salt" field kept for
+// format v3, the full spec, and the body's byte count), line two the
+// canonical result dump. Anything that fails to open, parse, or validate
+// (truncated write, stale format, hash collision) is treated as a miss,
+// re-run, and atomically
 // overwritten -- a corrupt cache can cost time, never correctness. Several
 // processes may share one directory: writes go through a per-writer tmp
 // file and an atomic rename. Failed jobs are never cached (they re-run
@@ -63,11 +64,9 @@ class ResultCache {
   /// longer carries the job's metric vector.
   static constexpr int kFormatVersion = 3;
 
-  /// Opens (creating, with parents) the cache directory. `salt` is the
-  /// user-level invalidation knob: any change to it -- new code revision,
-  /// edited protocol table, "just re-run everything" -- renames every key.
-  /// Throws SpecError when the directory cannot be created.
-  explicit ResultCache(std::filesystem::path dir, std::string salt = "");
+  /// Opens (creating, with parents) the cache directory. Throws SpecError
+  /// when the directory cannot be created.
+  explicit ResultCache(std::filesystem::path dir);
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -75,17 +74,17 @@ class ResultCache {
   [[nodiscard]] const std::filesystem::path& dir() const noexcept {
     return dir_;
   }
-  [[nodiscard]] const std::string& salt() const noexcept { return salt_; }
 
   /// The content address of one concrete spec: 64 hex chars of
-  /// SHA-256("deproto-result-cache/v<N>\n<salt>\n<canonical spec dump>").
+  /// SHA-256("deproto-result-cache/v<N>\n\n<canonical spec dump>"); the
+  /// empty line is format v3's salt slot, kept so existing entries hit.
   /// The compact spec dump is canonical by construction (ordered keys,
   /// normalized numbers), so semantically equal specs share a key.
   [[nodiscard]] std::string key_for(const ScenarioSpec& spec) const;
 
   /// Lookup-before-execute: returns the memoized result, or nullopt on
-  /// miss. A present-but-invalid entry (unparseable, wrong format/salt,
-  /// spec mismatch) counts as corrupt + miss; the caller re-runs and
+  /// miss. A present-but-invalid entry (unparseable, wrong format, spec
+  /// mismatch) counts as corrupt + miss; the caller re-runs and
   /// store() overwrites it. Thread-safe.
   [[nodiscard]] std::optional<ExperimentResult> load(const ScenarioSpec& spec);
 
@@ -141,7 +140,6 @@ class ResultCache {
   void enforce_size_bound_locked();
 
   std::filesystem::path dir_;
-  std::string salt_;
 
   mutable std::mutex mu_;
   std::unordered_set<std::string> used_;  // entry filenames touched

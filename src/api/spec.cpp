@@ -272,6 +272,13 @@ void validate_runtime(const sim::RuntimeOptions& runtime) {
   require_within(runtime.message_loss, 0.0, 1.0, "runtime.message_loss");
 }
 
+void validate_clock_drift(double clock_drift) {
+  if (!(clock_drift >= 0.0 && clock_drift < 0.5)) {
+    throw SpecError("clock_drift: must lie in [0, 0.5), got " +
+                    shortest(clock_drift));
+  }
+}
+
 const char* backend_name(Backend backend) {
   switch (backend) {
     case Backend::Sync:
@@ -456,6 +463,7 @@ ScenarioSpec ScenarioSpec::from_json(const Json& j) {
       backend_from_name(j.get_or("backend", std::string("sync")));
   spec.clock_drift =
       finite(j.get_or("clock_drift", spec.clock_drift), "clock_drift");
+  validate_clock_drift(spec.clock_drift);
   if (j.contains("network")) {
     spec.network = network_from_json(j.at("network"));
   }

@@ -97,6 +97,11 @@ struct FaultPlan {
 /// code or by a sweep axis.
 void validate_runtime(const sim::RuntimeOptions& runtime);
 
+/// Throws SpecError naming clock_drift unless it lies in [0, 0.5), the
+/// band the event and net backends' drifting timers accept. Run at parse
+/// time and at launch, like validate_runtime, on every backend.
+void validate_clock_drift(double clock_drift);
+
 /// Execution backend: per-node round-synchronous (Sync), per-node fully
 /// asynchronous (Event), count-based O(states)-per-period (Count),
 /// real UDP sockets on loopback (Net, one socket per node -- capped at

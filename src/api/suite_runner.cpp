@@ -36,8 +36,10 @@ SweepCoords coords_from_json(const Json& j) {
 }
 
 /// One JSONL line for `outcome`: job identity, coords, and the result
-/// (or the error).
-Json jsonl_line(const JobOutcome& outcome, bool with_timing) {
+/// (or the error). Lines carry no timing and no cache provenance, which
+/// are environment state, so they are byte-identical across thread counts
+/// and warm or cold caches.
+Json jsonl_line(const JobOutcome& outcome) {
   Json line = Json::object();
   line.set("job", Json::number(outcome.job.index));
   line.set("point", Json::number(outcome.job.point));
@@ -46,13 +48,10 @@ Json jsonl_line(const JobOutcome& outcome, bool with_timing) {
   line.set("coords", coords_to_json(outcome.job.coords));
   line.set("ok", Json::boolean(outcome.ok));
   if (outcome.ok) {
-    line.set("result", outcome.result.to_json(with_timing));
+    line.set("result", outcome.result.to_json(/*include_timing=*/false));
   } else {
     line.set("error", Json::string(outcome.error));
   }
-  // Cache provenance is environment state (warm vs cold), so like timing
-  // it never appears in the default byte-identical line format.
-  if (with_timing) line.set("cached", Json::boolean(outcome.cached));
   return line;
 }
 
@@ -357,8 +356,7 @@ SweepResult SuiteRunner::run_jobs(std::vector<SweepJob> jobs,
                       // touches it now
       bool sink_failed = false;
       if (options_.jsonl != nullptr) {
-        *options_.jsonl << jsonl_line(outcome, options_.jsonl_timing).dump()
-                        << '\n';
+        *options_.jsonl << jsonl_line(outcome).dump() << '\n';
         // A full disk fails silently otherwise: the stream swallows the
         // short write and the run would report success over a truncated
         // file. Checked per line so the failure is caught while the run

@@ -127,9 +127,8 @@ struct SuiteOptions {
   bool store_results = true;
   /// Streaming sink: one compact JSON line per job, written in job-index
   /// order as the completed prefix grows. Byte-identical across thread
-  /// counts (lines carry no timing unless jsonl_timing is set).
+  /// counts (lines carry no timing).
   std::ostream* jsonl = nullptr;
-  bool jsonl_timing = false;
   /// Progress hook, invoked in job-index order (never concurrently).
   std::function<void(const JobOutcome&)> on_result;
   /// Optional result memoization (non-owning; must outlive the run):

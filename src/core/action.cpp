@@ -1,6 +1,5 @@
 #include "core/action.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace deproto::core {
@@ -15,74 +14,82 @@ const std::string& state_name(std::span<const std::string> states,
 
 }  // namespace
 
-std::size_t executor_state(const Action& action) {
+ActionLayout layout_of(const Action& action) {
   return std::visit(
-      [](const auto& a) -> std::size_t {
+      [](const auto& a) -> ActionLayout {
         using T = std::decay_t<decltype(a)>;
-        if constexpr (std::is_same_v<T, FlippingAction> ||
-                      std::is_same_v<T, SamplingAction> ||
-                      std::is_same_v<T, AnyOfSamplingAction>) {
-          return a.from_state;
-        } else if constexpr (std::is_same_v<T, TokenizingAction> ||
-                             std::is_same_v<T, PushAction>) {
-          return a.executor_state;
+        if constexpr (std::is_same_v<T, FlippingAction>) {
+          return {.executor = a.from_state,
+                  .from = a.from_state,
+                  .to = a.to_state,
+                  .coin_bias = a.coin_bias,
+                  .lead_state = a.from_state};
+        } else if constexpr (std::is_same_v<T, SamplingAction>) {
+          return {.executor = a.from_state,
+                  .from = a.from_state,
+                  .to = a.to_state,
+                  .judge = Judge::All,
+                  .coin_bias = a.coin_bias,
+                  .probes = a.same_state_samples + a.target_states.size(),
+                  .lead = a.same_state_samples,
+                  .lead_state = a.from_state,
+                  .targets = a.target_states};
+        } else if constexpr (std::is_same_v<T, TokenizingAction>) {
+          return {.executor = a.executor_state,
+                  .from = a.token_state,
+                  .to = a.to_state,
+                  .mover = Mover::Token,
+                  .judge = Judge::All,
+                  .coin_bias = a.coin_bias,
+                  .probes = a.same_state_samples + a.target_states.size(),
+                  .lead = a.same_state_samples,
+                  .lead_state = a.executor_state,
+                  .targets = a.target_states};
+        } else if constexpr (std::is_same_v<T, PushAction>) {
+          return {.executor = a.executor_state,
+                  .from = a.target_state,
+                  .to = a.to_state,
+                  .mover = Mover::Contacts,
+                  .coin_bias = a.coin_bias,
+                  .probes = a.fanout,
+                  .lead = a.fanout,
+                  .lead_state = a.target_state};
+        } else if constexpr (std::is_same_v<T, AnyOfSamplingAction>) {
+          return {.executor = a.from_state,
+                  .from = a.from_state,
+                  .to = a.to_state,
+                  .judge = Judge::Any,
+                  .coin_bias = a.coin_bias,
+                  .probes = a.fanout,
+                  .lead = a.fanout,
+                  .lead_state = a.match_state};
         }
       },
       action);
 }
 
+std::size_t executor_state(const Action& action) {
+  return layout_of(action).executor;
+}
+
 std::size_t messages_per_period(const Action& action) {
-  return std::visit(
-      [](const auto& a) -> std::size_t {
-        using T = std::decay_t<decltype(a)>;
-        if constexpr (std::is_same_v<T, FlippingAction>) {
-          return 0;
-        } else if constexpr (std::is_same_v<T, SamplingAction>) {
-          return a.same_state_samples + a.target_states.size();
-        } else if constexpr (std::is_same_v<T, TokenizingAction>) {
-          // Sampling probes plus the token hand-off message itself.
-          return a.same_state_samples + a.target_states.size() + 1;
-        } else if constexpr (std::is_same_v<T, PushAction> ||
-                             std::is_same_v<T, AnyOfSamplingAction>) {
-          return a.fanout;
-        }
-      },
-      action);
+  const ActionLayout layout = layout_of(action);
+  return layout.probes + (layout.mover == Mover::Token ? 1 : 0);
 }
 
 ProbeRule probe_rule(const Action& action, std::optional<std::size_t> executor,
                      std::span<const std::optional<std::size_t>> replies) {
-  // Replies [0, same) must be in `same_state`, then one per target state.
-  const auto pattern_holds = [&](std::size_t same, std::size_t same_state,
-                                 const std::vector<std::size_t>& targets) {
-    if (replies.size() != same + targets.size()) return false;
-    for (std::size_t at = 0; at < same; ++at) {
-      if (replies[at] != same_state) return false;
-    }
-    return std::equal(targets.begin(), targets.end(), replies.begin() + same);
-  };
-  return std::visit(
-      [&](const auto& a) -> ProbeRule {
-        using T = std::decay_t<decltype(a)>;
-        if constexpr (std::is_same_v<T, SamplingAction>) {
-          const std::size_t same = a.same_state_samples;
-          return {same + a.target_states.size(),
-                  executor == a.from_state &&
-                      pattern_holds(same, a.from_state, a.target_states)};
-        } else if constexpr (std::is_same_v<T, TokenizingAction>) {
-          const std::size_t same = a.same_state_samples;
-          return {same + a.target_states.size(),
-                  pattern_holds(same, a.executor_state, a.target_states)};
-        } else if constexpr (std::is_same_v<T, AnyOfSamplingAction>) {
-          const bool any = std::find(replies.begin(), replies.end(),
-                                     a.match_state) != replies.end();
-          return {a.fanout, replies.size() == a.fanout &&
-                                executor == a.from_state && any};
-        } else {
-          return {};
-        }
-      },
-      action);
+  const ActionLayout l = layout_of(action);
+  if (l.judge == Judge::None) return {};
+  ProbeRule rule{.probes = l.probes};
+  if (replies.size() != l.probes) return rule;
+  if (l.mover == Mover::Executor && executor != l.executor) return rule;
+  std::size_t matches = 0;
+  for (std::size_t k = 0; k < l.probes; ++k) {
+    matches += replies[k] == l.expected(k) ? 1 : 0;
+  }
+  rule.fires = l.judge == Judge::Any ? matches > 0 : matches == l.probes;
+  return rule;
 }
 
 std::string to_string(const Action& action,

@@ -7,6 +7,7 @@
 // produced it.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -92,11 +93,69 @@ struct AnyOfSamplingAction {
 using Action = std::variant<FlippingAction, SamplingAction, TokenizingAction,
                             PushAction, AnyOfSamplingAction>;
 
+/// What one firing moves.
+enum class Mover : std::uint8_t {
+  Executor,  ///< the executor itself (Flipping, Sampling, AnyOfSampling)
+  Token,     ///< the receiver of the executor's token (Tokenizing)
+  Contacts,  ///< each contact found in `from`, on its own coin (Push)
+};
+
+/// How one execution's probe replies decide whether it fires.
+enum class Judge : std::uint8_t {
+  None,  ///< no verdict over replies: Flipping (coin only), Push (per contact)
+  All,   ///< every reply must match (Sampling, Tokenizing)
+  Any,   ///< one matching reply suffices (AnyOfSampling)
+};
+
+/// The one statement of an action kind's semantics that every tier runs:
+/// the sync interpreter, the event and net probe rule, the count period
+/// and exact chain (through transition_channels), and the mean field.
+/// Non-allocating: `targets` views the action's own vector, so a layout
+/// must not outlive its action.
+struct ActionLayout {
+  std::size_t executor = 0;  ///< state whose members execute the action
+  std::size_t from = 0;      ///< state a firing moves mass out of
+  std::size_t to = 0;        ///< state a firing moves mass into
+  Mover mover = Mover::Executor;
+  Judge judge = Judge::None;
+  double coin_bias = 0.0;
+  /// Processes one execution samples (Push: its contacts); the Tokenizing
+  /// hand-off message is not one.
+  std::size_t probes = 0;
+  std::size_t lead = 0;        ///< replies [0, lead) must read lead_state
+  std::size_t lead_state = 0;  ///< i_x - 1 copies of the executor state,
+                               ///< the pull's match state, a push target
+  std::span<const std::size_t> targets;  ///< reply lead + j reads targets[j]
+
+  /// The state reply k (k < probes) must read.
+  [[nodiscard]] std::size_t expected(std::size_t k) const noexcept {
+    return k < lead ? lead_state : targets[k - lead];
+  }
+
+  /// Judges replies in arrival order and stops at the first decisive one,
+  /// a mismatch under All or a match under Any: `reply(k)` yields reply k
+  /// and is not called past that point. Returns whether the execution
+  /// fires, the coin still to toss (Flipping: always). probe_rule's verdict
+  /// over the full reply vector agrees. Not for Push, which judges each
+  /// contact on its own.
+  template <class Reply>
+  [[nodiscard]] bool judge_in_order(Reply&& reply) const {
+    const bool any = judge == Judge::Any;
+    for (std::size_t k = 0; k < probes; ++k) {
+      if ((reply(k) == expected(k)) == any) return any;
+    }
+    return !any;
+  }
+};
+
+[[nodiscard]] ActionLayout layout_of(const Action& action);
+
 /// The state whose members execute this action each period.
 [[nodiscard]] std::size_t executor_state(const Action& action);
 
-/// Number of sampling messages this action sends per period per executor
-/// (Section 3's message-complexity accounting; Flipping sends none).
+/// Number of messages this action sends per period per executor: its
+/// probes plus the Tokenizing hand-off (Section 3's message-complexity
+/// accounting; Flipping sends none).
 [[nodiscard]] std::size_t messages_per_period(const Action& action);
 
 /// Replies to one execution's probes, in arrival order: the state each
@@ -112,14 +171,13 @@ struct ProbeRule {
   bool fires = false;      // all replies in and matching; coin still to toss
 };
 
-/// Sampling needs reply k to be in the k-th state of its pattern (i_x - 1
-/// copies of from_state, then target_states) and its executor still in
-/// from_state, since the move is its own. Tokenizing needs the same
-/// pattern over executor_state but not the executor, whose token makes the
-/// move. AnyOfSampling needs one reply in match_state and its executor
-/// still in from_state. `executor` is the executor's state when the last
-/// reply arrives, nullopt if it crashed meanwhile. With no replies the
-/// call just reports `probes`.
+/// A full reply vector fires when its layout's judge holds over it (every
+/// reply k reads expected(k), or one does under Any) and, for an action
+/// that moves its executor, the executor is still in its state; a
+/// Tokenizing executor need not be, since its token makes the move.
+/// `executor` is the executor's state when the last reply arrives, nullopt
+/// if it crashed meanwhile. With no replies the call just reports
+/// `probes`.
 [[nodiscard]] ProbeRule probe_rule(
     const Action& action, std::optional<std::size_t> executor = std::nullopt,
     std::span<const std::optional<std::size_t>> replies = {});

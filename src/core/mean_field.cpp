@@ -3,26 +3,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/action.hpp"
 #include "core/transition_model.hpp"
 
 namespace deproto::core {
-
-namespace {
-
-/// Exponent vector (over machine states) of the monomial a sampling-type
-/// action's firing probability is proportional to.
-std::vector<unsigned> firing_monomial(std::size_t num_states,
-                                      std::size_t executor,
-                                      std::size_t same_state_samples,
-                                      const std::vector<std::size_t>& targets) {
-  std::vector<unsigned> exps(num_states, 0U);
-  exps[executor] += 1;  // the executing process itself
-  exps[executor] += static_cast<unsigned>(same_state_samples);
-  for (std::size_t s : targets) exps[s] += 1;
-  return exps;
-}
-
-}  // namespace
 
 ode::EquationSystem mean_field(const ProtocolStateMachine& m, double f) {
   if (!(f >= 0.0 && f < 1.0)) {
@@ -32,59 +16,26 @@ ode::EquationSystem mean_field(const ProtocolStateMachine& m, double f) {
   const std::size_t n = m.num_states();
 
   for (const Action& action : m.actions()) {
-    std::visit(
-        [&](const auto& a) {
-          using T = std::decay_t<decltype(a)>;
-          if constexpr (std::is_same_v<T, FlippingAction>) {
-            std::vector<unsigned> exps(n, 0U);
-            exps[a.from_state] = 1;
-            const double rate = a.coin_bias;
-            sys.add_term(a.from_state, ode::Term(-rate, exps));
-            sys.add_term(a.to_state, ode::Term(+rate, exps));
-          } else if constexpr (std::is_same_v<T, SamplingAction>) {
-            const auto probes = a.same_state_samples + a.target_states.size();
-            const double rate =
-                a.coin_bias *
-                std::pow(1.0 - f, static_cast<double>(probes));
-            auto exps = firing_monomial(n, a.from_state, a.same_state_samples,
-                                        a.target_states);
-            sys.add_term(a.from_state, ode::Term(-rate, exps));
-            sys.add_term(a.to_state, ode::Term(+rate, std::move(exps)));
-          } else if constexpr (std::is_same_v<T, TokenizingAction>) {
-            const auto probes = a.same_state_samples + a.target_states.size();
-            const double rate =
-                a.coin_bias *
-                std::pow(1.0 - f, static_cast<double>(probes));
-            // The firing monomial is over the *executor*'s term; the token
-            // moves a process out of token_state (assumed non-empty).
-            auto exps = firing_monomial(n, a.executor_state,
-                                        a.same_state_samples,
-                                        a.target_states);
-            sys.add_term(a.token_state, ode::Term(-rate, exps));
-            sys.add_term(a.to_state, ode::Term(+rate, std::move(exps)));
-          } else if constexpr (std::is_same_v<T, PushAction>) {
-            // Executor y converts sampled processes in target_state x:
-            // linearized drift = fanout * q * (1-f) * y * x.
-            std::vector<unsigned> exps(n, 0U);
-            exps[a.executor_state] += 1;
-            exps[a.target_state] += 1;
-            const double rate =
-                static_cast<double>(a.fanout) * a.coin_bias * (1.0 - f);
-            sys.add_term(a.target_state, ode::Term(-rate, exps));
-            sys.add_term(a.to_state, ode::Term(+rate, std::move(exps)));
-          } else if constexpr (std::is_same_v<T, AnyOfSamplingAction>) {
-            // Pull: x converts if any of b sampled targets is in match
-            // state; linearized drift = fanout * q * (1-f) * x * y.
-            std::vector<unsigned> exps(n, 0U);
-            exps[a.from_state] += 1;
-            exps[a.match_state] += 1;
-            const double rate =
-                static_cast<double>(a.fanout) * a.coin_bias * (1.0 - f);
-            sys.add_term(a.from_state, ode::Term(-rate, exps));
-            sys.add_term(a.to_state, ode::Term(+rate, std::move(exps)));
-          }
-        },
-        action);
+    const ActionLayout l = layout_of(action);
+    std::vector<unsigned> exps(n, 0U);
+    exps[l.executor] += 1;  // the executing process itself
+    double rate = 0.0;
+    if (l.mover == Mover::Contacts || l.judge == Judge::Any) {
+      // Push (executor converts sampled processes in `from`) and pull
+      // (executor converts if any of b samples is in the match state):
+      // linearized drift = fanout * q * (1-f) * executor * lead_state.
+      exps[l.lead_state] += 1;
+      rate = static_cast<double>(l.probes) * l.coin_bias * (1.0 - f);
+    } else {
+      // Flipping, Sampling, Tokenizing: the firing monomial is over the
+      // executor's term, one factor per expected reply; a token moves a
+      // process out of token_state (assumed non-empty).
+      for (std::size_t k = 0; k < l.probes; ++k) exps[l.expected(k)] += 1;
+      rate = l.coin_bias *
+             std::pow(1.0 - f, static_cast<double>(l.probes));
+    }
+    sys.add_term(l.from, ode::Term(-rate, exps));
+    sys.add_term(l.to, ode::Term(+rate, std::move(exps)));
   }
   return sys;
 }

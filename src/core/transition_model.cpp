@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <variant>
 
 #include "core/action.hpp"
 
@@ -30,69 +29,38 @@ std::vector<TransitionChannel> transition_channels(
   channels.reserve(machine.actions().size());
 
   for (std::size_t i = 0; i < machine.actions().size(); ++i) {
-    TransitionChannel ch;
-    ch.action = i;
-    std::visit(
-        [&](const auto& a) {
-          using T = std::decay_t<decltype(a)>;
-          if constexpr (std::is_same_v<T, FlippingAction>) {
-            ch.executor = a.from_state;
-            ch.from = a.from_state;
-            ch.to = a.to_state;
-            ch.fire_prob = a.coin_bias;
-            ch.rate = a.coin_bias * x[a.from_state];
-            ch.moves_executor = true;
-          } else if constexpr (std::is_same_v<T, SamplingAction>) {
-            double prob = a.coin_bias;
-            for (std::size_t k = 0; k < a.same_state_samples; ++k) {
-              prob *= (1.0 - f) * x[a.from_state];
-            }
-            for (std::size_t s : a.target_states) prob *= (1.0 - f) * x[s];
-            ch.executor = a.from_state;
-            ch.from = a.from_state;
-            ch.to = a.to_state;
-            ch.fire_prob = prob;
-            ch.rate = prob * x[a.from_state];
-            ch.moves_executor = true;
-          } else if constexpr (std::is_same_v<T, TokenizingAction>) {
-            double prob = a.coin_bias;
-            for (std::size_t k = 0; k < a.same_state_samples; ++k) {
-              prob *= (1.0 - f) * x[a.executor_state];
-            }
-            for (std::size_t s : a.target_states) prob *= (1.0 - f) * x[s];
-            ch.executor = a.executor_state;
-            ch.from = a.token_state;
-            ch.to = a.to_state;
-            ch.fire_prob = prob;
-            // Tokens drop when nobody is in token_state.
-            ch.rate = x[a.token_state] > 0.0 ? prob * x[a.executor_state]
-                                             : 0.0;
-            ch.moves_executor = false;
-          } else if constexpr (std::is_same_v<T, PushAction>) {
-            // Each of the fanout probes from each executor converts an
-            // x-target with probability (1-f) * x_target * q.
-            ch.executor = a.executor_state;
-            ch.from = a.target_state;
-            ch.to = a.to_state;
-            ch.fire_prob = static_cast<double>(a.fanout) * a.coin_bias *
-                           (1.0 - f) * x[a.target_state];
-            ch.rate = static_cast<double>(a.fanout) * a.coin_bias *
-                      (1.0 - f) * x[a.executor_state] * x[a.target_state];
-            ch.moves_executor = false;
-          } else if constexpr (std::is_same_v<T, AnyOfSamplingAction>) {
-            // Exact any-of-b probability, no linearization.
-            const double hit = (1.0 - f) * x[a.match_state];
-            const double prob =
-                1.0 - std::pow(1.0 - hit, static_cast<double>(a.fanout));
-            ch.executor = a.from_state;
-            ch.from = a.from_state;
-            ch.to = a.to_state;
-            ch.fire_prob = a.coin_bias * prob;
-            ch.rate = a.coin_bias * prob * x[a.from_state];
-            ch.moves_executor = true;
-          }
-        },
-        machine.actions()[i]);
+    const ActionLayout l = layout_of(machine.actions()[i]);
+    TransitionChannel ch{.action = i,
+                         .executor = l.executor,
+                         .from = l.from,
+                         .to = l.to,
+                         .moves_executor = l.mover == Mover::Executor};
+    // The firing probability is the one per-kind formula.
+    if (l.mover == Mover::Contacts) {
+      // Each of the fanout probes from each executor converts an
+      // x-target with probability (1-f) * x_target * q.
+      ch.fire_prob = static_cast<double>(l.probes) * l.coin_bias *
+                     (1.0 - f) * x[l.from];
+      ch.rate = static_cast<double>(l.probes) * l.coin_bias * (1.0 - f) *
+                x[l.executor] * x[l.from];
+    } else if (l.judge == Judge::Any) {
+      // Exact any-of-b probability, no linearization.
+      const double hit = (1.0 - f) * x[l.lead_state];
+      const double prob =
+          1.0 - std::pow(1.0 - hit, static_cast<double>(l.probes));
+      ch.fire_prob = l.coin_bias * prob;
+      ch.rate = l.coin_bias * prob * x[l.executor];
+    } else {
+      // The coin times one surviving, matching probe per expected reply.
+      double prob = l.coin_bias;
+      for (std::size_t k = 0; k < l.probes; ++k) {
+        prob *= (1.0 - f) * x[l.expected(k)];
+      }
+      ch.fire_prob = prob;
+      // Tokens drop when nobody is in token_state.
+      ch.rate = (ch.moves_executor || x[l.from] > 0.0) ? prob * x[l.executor]
+                                                       : 0.0;
+    }
     channels.push_back(ch);
   }
   return channels;
@@ -103,66 +71,28 @@ std::vector<ChannelShape> channel_shapes(const ProtocolStateMachine& machine) {
   shapes.reserve(machine.actions().size());
 
   for (std::size_t i = 0; i < machine.actions().size(); ++i) {
-    ChannelShape sh;
-    sh.action = i;
-    std::visit(
-        [&](const auto& a) {
-          using T = std::decay_t<decltype(a)>;
-          if constexpr (std::is_same_v<T, FlippingAction>) {
-            sh.executor = a.from_state;
-            sh.from = a.from_state;
-            sh.to = a.to_state;
-            sh.coin_bias = a.coin_bias;
-            sh.max_fire_prob = a.coin_bias;
-            sh.moves_executor = true;
-            require_state(sh.requires_occupied, a.from_state);
-          } else if constexpr (std::is_same_v<T, SamplingAction>) {
-            sh.executor = a.from_state;
-            sh.from = a.from_state;
-            sh.to = a.to_state;
-            sh.coin_bias = a.coin_bias;
-            // Every occupancy factor (same-state samples and targets) is
-            // at most 1, so the coin bias bounds the firing probability.
-            sh.max_fire_prob = a.coin_bias;
-            sh.moves_executor = true;
-            require_state(sh.requires_occupied, a.from_state);
-            for (const std::size_t s : a.target_states) {
-              require_state(sh.requires_occupied, s);
-            }
-          } else if constexpr (std::is_same_v<T, TokenizingAction>) {
-            sh.executor = a.executor_state;
-            sh.from = a.token_state;
-            sh.to = a.to_state;
-            sh.coin_bias = a.coin_bias;
-            sh.max_fire_prob = a.coin_bias;
-            sh.moves_executor = false;
-            require_state(sh.requires_occupied, a.executor_state);
-            require_state(sh.requires_occupied, a.token_state);
-            for (const std::size_t s : a.target_states) {
-              require_state(sh.requires_occupied, s);
-            }
-          } else if constexpr (std::is_same_v<T, PushAction>) {
-            sh.executor = a.executor_state;
-            sh.from = a.target_state;
-            sh.to = a.to_state;
-            sh.coin_bias = a.coin_bias;
-            sh.max_fire_prob = static_cast<double>(a.fanout) * a.coin_bias;
-            sh.moves_executor = false;
-            require_state(sh.requires_occupied, a.executor_state);
-            require_state(sh.requires_occupied, a.target_state);
-          } else if constexpr (std::is_same_v<T, AnyOfSamplingAction>) {
-            sh.executor = a.from_state;
-            sh.from = a.from_state;
-            sh.to = a.to_state;
-            sh.coin_bias = a.coin_bias;
-            // 1 - (1 - hit)^fanout <= 1, so the coin bias is the bound.
-            sh.max_fire_prob = a.coin_bias;
-            sh.moves_executor = true;
-            require_state(sh.requires_occupied, a.from_state);
-            require_state(sh.requires_occupied, a.match_state);
-          }
-        },
-        machine.actions()[i]);
+    const ActionLayout l = layout_of(machine.actions()[i]);
+    ChannelShape sh{.action = i,
+                    .executor = l.executor,
+                    .from = l.from,
+                    .to = l.to,
+                    .coin_bias = l.coin_bias,
+                    // Every occupancy factor is at most 1, so the coin
+                    // bias bounds a firing probability; a push's bound is
+                    // its expected conversions per executor.
+                    .max_fire_prob = l.mover == Mover::Contacts
+                                         ? static_cast<double>(l.probes) *
+                                               l.coin_bias
+                                         : l.coin_bias,
+                    .moves_executor = l.mover == Mover::Executor};
+    // The executor, the state a firing empties, and every state a reply
+    // must read.
+    require_state(sh.requires_occupied, l.executor);
+    require_state(sh.requires_occupied, l.from);
+    require_state(sh.requires_occupied, l.lead_state);
+    for (const std::size_t s : l.targets) {
+      require_state(sh.requires_occupied, s);
+    }
     shapes.push_back(std::move(sh));
   }
   return shapes;

@@ -1,10 +1,13 @@
 #pragma once
 // Per-period transition-probability extraction shared by every consumer of
 // a ProtocolStateMachine's dynamics: the mean-field drift (exact_drift),
-// the CLT noise model (fluctuations.cpp), and the count-based simulation
-// backend (sim/count_sim.cpp). Each action contributes exactly one channel
+// the CLT noise model (fluctuations.cpp), and the count period
+// (sim/count_period.hpp) that the count backend samples and the exact
+// chain enumerates. Each action contributes exactly one channel
 // describing who attempts it, what mass moves where, and with what
-// per-executor firing probability at a given population point x.
+// per-executor firing probability at a given population point x. Who and
+// where come from the action's core::layout_of; only the firing
+// probability is a per-kind formula here.
 
 #include <cstddef>
 #include <vector>
@@ -26,7 +29,7 @@ namespace deproto::core {
 /// and `fire_prob` is the expected conversions per executor
 /// (fanout * coin * (1-f) * x[target], the linearized form exact_drift
 /// uses). Count-level consumers that need the per-contact conversion
-/// probability should visit the underlying action instead.
+/// probability should read the action's core::layout_of instead.
 struct TransitionChannel {
   std::size_t action = 0;    ///< index into machine.actions()
   std::size_t executor = 0;  ///< state whose members attempt the action

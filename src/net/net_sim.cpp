@@ -391,38 +391,37 @@ void NetSimulator::route_token(sim::ProcessId pid, std::size_t token_state,
 }
 
 void NetSimulator::run_action(sim::ProcessId pid, const core::Action& action) {
-  std::visit(
-      [&](const auto& a) {
-        using T = std::decay_t<decltype(a)>;
-        if constexpr (std::is_same_v<T, core::FlippingAction>) {
-          if (rng_.bernoulli(a.coin_bias)) group_.transition(pid, a.to_state);
-        } else if constexpr (std::is_same_v<T, core::PushAction>) {
-          for (unsigned k = 0; k < a.fanout; ++k) {
-            const sim::ProcessId target = group_.random_target(pid, rng_);
-            Packet push;
-            push.type = PacketType::Push;
-            push.state = static_cast<std::uint8_t>(group_.state_of(pid));
-            push.arg0 = static_cast<std::uint32_t>(a.target_state);
-            push.arg1 = static_cast<std::uint32_t>(a.to_state);
-            push.arg2 = coin_to_q32(a.coin_bias);
-            send_packet(pid, addr_[target], push);
-          }
-        } else {
-          // A probing action: ask, then decide once every reply is in.
-          auto decide = [this, pid, &action, &a](const core::ProbeReplies& r) {
-            const std::optional<std::size_t> self = group_.live_state(pid);
-            if (!core::probe_rule(action, self, r).fires) return;
-            if (!rng_.bernoulli(a.coin_bias)) return;
-            if constexpr (std::is_same_v<T, core::TokenizingAction>) {
-              route_token(pid, a.token_state, a.to_state);
-            } else {
-              group_.transition(pid, a.to_state);
-            }
-          };
-          probe_all(pid, core::probe_rule(action).probes, std::move(decide));
-        }
-      },
-      action);
+  const core::ActionLayout l = core::layout_of(action);
+  if (l.mover == core::Mover::Contacts) {
+    for (std::size_t k = 0; k < l.probes; ++k) {
+      const sim::ProcessId target = group_.random_target(pid, rng_);
+      Packet push;
+      push.type = PacketType::Push;
+      push.state = static_cast<std::uint8_t>(group_.state_of(pid));
+      push.arg0 = static_cast<std::uint32_t>(l.from);
+      push.arg1 = static_cast<std::uint32_t>(l.to);
+      push.arg2 = coin_to_q32(l.coin_bias);
+      send_packet(pid, addr_[target], push);
+    }
+    return;
+  }
+  if (l.judge == core::Judge::None) {  // Flipping: the coin alone decides
+    if (rng_.bernoulli(l.coin_bias)) group_.transition(pid, l.to);
+    return;
+  }
+  // A probing action: ask, then decide once every reply is in.
+  auto decide = [this, pid, &action](const core::ProbeReplies& r) {
+    const std::optional<std::size_t> self = group_.live_state(pid);
+    if (!core::probe_rule(action, self, r).fires) return;
+    const core::ActionLayout l = core::layout_of(action);
+    if (!rng_.bernoulli(l.coin_bias)) return;
+    if (l.mover == core::Mover::Token) {
+      route_token(pid, l.from, l.to);
+    } else {
+      group_.transition(pid, l.to);
+    }
+  };
+  probe_all(pid, l.probes, std::move(decide));
 }
 
 // ---------------------------------------------------------------------

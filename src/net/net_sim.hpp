@@ -22,11 +22,12 @@
 //
 // All N nodes live in one OS process (loopback deployment); group state
 // is shared, so directory token routing and population metrics read the
-// same oracle the event backend uses. The probe rules (core::probe_rule)
-// and the fault surface (sim::fault_plan::Scheduler) are the event
-// backend's own, so the loopback equivalence suite can pin net steady
-// states against sync/event/mean-field; this file only says how a probe,
-// push or token travels: as datagrams.
+// same oracle the event backend uses. The action layouts and probe rule
+// (core::layout_of, core::probe_rule) are every tier's, and the fault
+// surface (sim::fault_plan::Scheduler) is the event backend's own, so the
+// loopback equivalence suite can pin net steady states against
+// sync/event/mean-field; this file only says how a probe, push or token
+// travels: as datagrams.
 
 #include <netinet/in.h>
 

@@ -11,8 +11,7 @@ HandoffMigration::HandoffMigration(HandoffParams params) : params_(params) {
   }
 }
 
-void HandoffMigration::execute_period(sim::Group& group, sim::Rng& rng,
-                                      sim::MetricsCollector& /*metrics*/) {
+void HandoffMigration::execute_period(sim::Group& group, sim::Rng& rng) {
   scratch_ = group.members(kHolder);
   for (sim::ProcessId pid : scratch_) {
     if (!group.alive(pid) || group.state_of(pid) != kHolder) continue;
@@ -44,8 +43,7 @@ void StaticReplication::on_crash(sim::ProcessId /*pid*/) {
   pending_repairs_.push_back(period_ + params_.detection_delay);
 }
 
-void StaticReplication::execute_period(sim::Group& group, sim::Rng& rng,
-                                       sim::MetricsCollector& /*metrics*/) {
+void StaticReplication::execute_period(sim::Group& group, sim::Rng& rng) {
   ++period_;
   // Note: on_crash fires for *any* crash, holder or not; over-counting is
   // resolved here by only repairing up to the target count.

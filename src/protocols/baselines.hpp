@@ -34,8 +34,7 @@ class HandoffMigration final : public sim::PeriodicProtocol {
 
   [[nodiscard]] std::size_t num_states() const override { return 2; }
 
-  void execute_period(sim::Group& group, sim::Rng& rng,
-                      sim::MetricsCollector& metrics) override;
+  void execute_period(sim::Group& group, sim::Rng& rng) override;
 
   /// Replicas destroyed because a holder crashed or the hand-off target was
   /// unreachable (crash-stop during transfer).
@@ -61,8 +60,7 @@ class StaticReplication final : public sim::PeriodicProtocol {
 
   [[nodiscard]] std::size_t num_states() const override { return 2; }
 
-  void execute_period(sim::Group& group, sim::Rng& rng,
-                      sim::MetricsCollector& metrics) override;
+  void execute_period(sim::Group& group, sim::Rng& rng) override;
 
   void on_crash(sim::ProcessId pid) override;
 

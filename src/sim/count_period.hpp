@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "core/action.hpp"
@@ -63,7 +62,14 @@ class CountPeriod {
   /// probability `loss` and token routing `tokens`.
   CountPeriod(core::ProtocolStateMachine machine, std::size_t n, double loss,
               TokenRouting tokens)
-      : machine_(std::move(machine)), n_(n), loss_(loss), tokens_(tokens) {}
+      : machine_(std::move(machine)), n_(n), loss_(loss), tokens_(tokens) {
+    for (const core::Action& action : machine_.actions()) {
+      layouts_.push_back(core::layout_of(action));
+    }
+  }
+  // layouts_ views machine_'s actions, so a copy would dangle.
+  CountPeriod(const CountPeriod&) = delete;
+  CountPeriod& operator=(const CountPeriod&) = delete;
 
   [[nodiscard]] const core::ProtocolStateMachine& machine() const noexcept {
     return machine_;
@@ -98,24 +104,20 @@ class CountPeriod {
       if (remaining == 0) continue;
       for (std::size_t idx : machine_.actions_of(s)) {
         const core::TransitionChannel& ch = channels[idx];
-        const core::Action& action = machine_.actions()[idx];
-        const bool tokenizing =
-            std::holds_alternative<core::TokenizingAction>(action);
-        // The Tokenizing hand-off message is token traffic, not a probe.
-        tally.probes += static_cast<std::uint64_t>(remaining) *
-                        (core::messages_per_period(action) - tokenizing);
+        const core::ActionLayout& l = layouts_[idx];
+        tally.probes += static_cast<std::uint64_t>(remaining) * l.probes;
         if (ch.moves_executor) {
           const std::size_t fired = draw(remaining, ch.fire_prob, remaining);
           move(s, ch.to, fired);
           remaining -= fired;
-        } else if (tokenizing) {
+        } else if (l.mover == core::Mover::Token) {
           const std::size_t generated =
               draw(remaining, ch.fire_prob, remaining);
           tally.tokens.generated += generated;
           if (generated > 0) token_batches_.push_back(Batch{idx, generated});
         } else {
-          const auto contacts = static_cast<std::uint64_t>(remaining) *
-                                std::get<core::PushAction>(action).fanout;
+          const auto contacts =
+              static_cast<std::uint64_t>(remaining) * l.probes;
           if (contacts > 0) push_batches_.push_back(Batch{idx, contacts});
         }
         if (remaining == 0) break;
@@ -137,14 +139,14 @@ class CountPeriod {
 
     for (const Batch& batch : push_batches_) {
       if (n_ < 2) break;
-      const auto& push =
-          std::get<core::PushAction>(machine_.actions()[batch.action]);
-      const std::size_t candidates = stayers_[push.target_state];
+      const core::TransitionChannel& ch = channels[batch.action];
+      const std::size_t candidates = stayers_[ch.from];
       if (candidates == 0) continue;
       const std::size_t converted = draw(
-          candidates, push_conversion_prob(push.coin_bias, batch.size),
+          candidates,
+          push_conversion_prob(layouts_[batch.action].coin_bias, batch.size),
           candidates);
-      move(push.target_state, push.to_state, converted);
+      move(ch.from, ch.to, converted);
     }
     return end_;
   }
@@ -183,6 +185,7 @@ class CountPeriod {
   }
 
   core::ProtocolStateMachine machine_;
+  std::vector<core::ActionLayout> layouts_;  // per action, built once
   std::size_t n_;
   double loss_;
   TokenRouting tokens_;

@@ -78,49 +78,46 @@ void EventSimulator::route_token_walk(std::size_t token_state,
 }
 
 void EventSimulator::run_action(ProcessId pid, const core::Action& action) {
-  std::visit(
-      [&](const auto& a) {
-        using T = std::decay_t<decltype(a)>;
-        if constexpr (std::is_same_v<T, core::FlippingAction>) {
-          if (rng_.bernoulli(a.coin_bias)) group_.transition(pid, a.to_state);
-        } else if constexpr (std::is_same_v<T, core::PushAction>) {
-          for (unsigned k = 0; k < a.fanout; ++k) {
-            const ProcessId target = group_.random_target(pid, rng_);
-            network_.send([this, target, &a] {
-              if (group_.live_state(target) == a.target_state &&
-                  rng_.bernoulli(a.coin_bias)) {
-                group_.transition(target, a.to_state);
-              }
-            });
-          }
-        } else {
-          // A probing action: ask, then decide once every reply is in.
-          const std::size_t probes = core::probe_rule(action).probes;
-          if (probes == 0) {
-            decide(pid, action, {});
-            return;
-          }
-          std::uint32_t w = 0;
-          if (free_waits_.empty()) {
-            w = static_cast<std::uint32_t>(waits_.size());
-            waits_.emplace_back();
-          } else {
-            w = free_waits_.back();
-            free_waits_.pop_back();
-          }
-          ProbeWait& wait = waits_[w];
-          wait.pid = pid;
-          wait.action = &action;
-          wait.expected = probes;
-          wait.replies.clear();
-          for (std::size_t k = 0; k < probes; ++k) {
-            const ProcessId target = group_.random_target(pid, rng_);
-            network_.send([this, w, target] { on_probe(w, target); },
-                          [this, w] { on_reply(w, std::nullopt); });
-          }
+  const core::ActionLayout l = core::layout_of(action);
+  if (l.mover == core::Mover::Contacts) {
+    for (std::size_t k = 0; k < l.probes; ++k) {
+      const ProcessId target = group_.random_target(pid, rng_);
+      network_.send([this, target, from = l.from, to = l.to,
+                     coin = l.coin_bias] {
+        if (group_.live_state(target) == from && rng_.bernoulli(coin)) {
+          group_.transition(target, to);
         }
-      },
-      action);
+      });
+    }
+    return;
+  }
+  if (l.judge == core::Judge::None) {  // Flipping: the coin alone decides
+    if (rng_.bernoulli(l.coin_bias)) group_.transition(pid, l.to);
+    return;
+  }
+  // A probing action: ask, then decide once every reply is in.
+  if (l.probes == 0) {
+    decide(pid, action, {});
+    return;
+  }
+  std::uint32_t w = 0;
+  if (free_waits_.empty()) {
+    w = static_cast<std::uint32_t>(waits_.size());
+    waits_.emplace_back();
+  } else {
+    w = free_waits_.back();
+    free_waits_.pop_back();
+  }
+  ProbeWait& wait = waits_[w];
+  wait.pid = pid;
+  wait.action = &action;
+  wait.expected = l.probes;
+  wait.replies.clear();
+  for (std::size_t k = 0; k < l.probes; ++k) {
+    const ProcessId target = group_.random_target(pid, rng_);
+    network_.send([this, w, target] { on_probe(w, target); },
+                  [this, w] { on_reply(w, std::nullopt); });
+  }
 }
 
 void EventSimulator::on_probe(std::uint32_t w, ProcessId target) {
@@ -150,17 +147,13 @@ void EventSimulator::decide(
     std::span<const std::optional<std::size_t>> replies) {
   const std::optional<std::size_t> self = group_.live_state(pid);
   if (!core::probe_rule(action, self, replies).fires) return;
-  std::visit(
-      [&](const auto& a) {
-        if (!rng_.bernoulli(a.coin_bias)) return;
-        if constexpr (std::is_same_v<std::decay_t<decltype(a)>,
-                                     core::TokenizingAction>) {
-          route_token(a.token_state, a.to_state);
-        } else {
-          group_.transition(pid, a.to_state);
-        }
-      },
-      action);
+  const core::ActionLayout l = core::layout_of(action);
+  if (!rng_.bernoulli(l.coin_bias)) return;
+  if (l.mover == core::Mover::Token) {
+    route_token(l.from, l.to);
+  } else {
+    group_.transition(pid, l.to);
+  }
 }
 
 void EventSimulator::run_until(double t_end) {

@@ -7,9 +7,11 @@
 // response (or loss surrogate) arrives. This validates that the protocols
 // need no global clock, synchronization, or agreement.
 //
-// The probe rules (core::probe_rule) and the fault surface
-// (fault_plan::Scheduler) are shared with the net backend; this file only
-// says how a probe, push or token travels: as closures over sim::Network.
+// Each action's layout (core::layout_of) and probe rule (core::probe_rule,
+// the verdict over a full reply vector) are the ones every tier runs; the
+// fault surface (fault_plan::Scheduler) is shared with the net backend.
+// This file only says how a probe, push or token travels: as closures
+// over sim::Network.
 
 #include <cstddef>
 #include <cstdint>

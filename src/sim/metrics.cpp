@@ -1,7 +1,6 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <stdexcept>
 
 namespace deproto::sim {
@@ -12,14 +11,6 @@ MetricsCollector::MetricsCollector(std::size_t num_states)
     throw std::invalid_argument("MetricsCollector: zero states");
   }
   current_.transitions.assign(states_ * states_, 0);
-}
-
-void MetricsCollector::enable_host_history(std::size_t state) {
-  if (state >= states_) {
-    throw std::out_of_range("MetricsCollector::enable_host_history");
-  }
-  track_hosts_ = true;
-  tracked_state_ = state;
 }
 
 void MetricsCollector::begin_period(double t) {
@@ -53,9 +44,6 @@ void MetricsCollector::end_period(const Group& group) {
   }
   current_.total_alive = group.total_alive();
   samples_.push_back(current_);
-  if (track_hosts_) {
-    host_history_.push_back(group.members(tracked_state_));
-  }
   in_period_ = false;
 }
 
@@ -66,11 +54,6 @@ void MetricsCollector::end_period(
   }
   if (alive_in_state.size() != states_) {
     throw std::invalid_argument("MetricsCollector::end_period: bad counts");
-  }
-  if (track_hosts_) {
-    throw std::logic_error(
-        "MetricsCollector::end_period: host history needs a per-node "
-        "backend");
   }
   current_.alive_in_state = alive_in_state;
   current_.total_alive = total_alive;
@@ -127,49 +110,6 @@ WindowSummary MetricsCollector::summarize_flux(std::size_t from,
         static_cast<double>(samples_[i].transitions[from * states_ + to]));
   }
   return summarize_window(std::move(values));
-}
-
-void MetricsCollector::write_population_csv(
-    std::ostream& out, const std::vector<std::string>& names) const {
-  out << "time";
-  for (std::size_t s = 0; s < states_; ++s) {
-    out << ',' << (s < names.size() ? names[s] : "s" + std::to_string(s));
-  }
-  out << ",alive\n";
-  for (const PeriodSample& sample : samples_) {
-    out << sample.time;
-    for (std::size_t s = 0; s < states_; ++s) {
-      out << ',' << sample.alive_in_state[s];
-    }
-    out << ',' << sample.total_alive << '\n';
-  }
-}
-
-void MetricsCollector::write_flux_csv(
-    std::ostream& out, const std::vector<std::string>& names) const {
-  // Determine which (from, to) pairs ever fire.
-  std::vector<std::size_t> active;
-  for (std::size_t pair = 0; pair < states_ * states_; ++pair) {
-    for (const PeriodSample& s : samples_) {
-      if (s.transitions[pair] != 0) {
-        active.push_back(pair);
-        break;
-      }
-    }
-  }
-  auto name = [&](std::size_t s) {
-    return s < names.size() ? names[s] : "s" + std::to_string(s);
-  };
-  out << "time";
-  for (std::size_t pair : active) {
-    out << ',' << name(pair / states_) << "->" << name(pair % states_);
-  }
-  out << '\n';
-  for (const PeriodSample& sample : samples_) {
-    out << sample.time;
-    for (std::size_t pair : active) out << ',' << sample.transitions[pair];
-    out << '\n';
-  }
 }
 
 }  // namespace deproto::sim

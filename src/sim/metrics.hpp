@@ -1,14 +1,11 @@
 #pragma once
 
-// Per-period measurement: alive population per state, transition (flux)
-// counts, and optional per-host membership history (Figure 8's stasher
-// scatter). Also summary statistics over period windows (Figure 7 reports
-// median/min/max over a 2000-period interval) and CSV writers.
+// Per-period measurement: alive population per state and transition
+// (flux) counts, with summary statistics over period windows (Figure 7
+// reports median/min/max over a 2000-period interval).
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "sim/group.hpp"
@@ -33,10 +30,6 @@ class MetricsCollector {
  public:
   explicit MetricsCollector(std::size_t num_states);
 
-  /// Record which hosts occupy `state` each period (costs O(count) per
-  /// period; enable only for small-N experiments like Figure 8).
-  void enable_host_history(std::size_t state);
-
   /// Start accumulating transitions for the period beginning at `t`.
   void begin_period(double t);
 
@@ -52,8 +45,7 @@ class MetricsCollector {
   void end_period(const Group& group);
 
   /// Close the current period from a per-state count vector (the count
-  /// backend has no Group). Host history needs per-node identity, so this
-  /// throws std::logic_error when enable_host_history() is active.
+  /// backend has no Group).
   void end_period(const std::vector<std::size_t>& alive_in_state,
                   std::size_t total_alive);
 
@@ -61,12 +53,6 @@ class MetricsCollector {
     return samples_;
   }
   [[nodiscard]] std::size_t num_states() const noexcept { return states_; }
-
-  /// Hosts that occupied the tracked state, one vector per recorded period.
-  [[nodiscard]] const std::vector<std::vector<ProcessId>>& host_history()
-      const noexcept {
-    return host_history_;
-  }
 
   /// Summary of alive_in_state[state] over sample indices [first, last).
   [[nodiscard]] WindowSummary summarize_state(std::size_t state,
@@ -78,22 +64,11 @@ class MetricsCollector {
                                              std::size_t first,
                                              std::size_t last) const;
 
-  /// CSV: time, one column per state, total_alive.
-  void write_population_csv(std::ostream& out,
-                            const std::vector<std::string>& names) const;
-
-  /// CSV: time, one column per (from->to) pair with nonzero total flux.
-  void write_flux_csv(std::ostream& out,
-                      const std::vector<std::string>& names) const;
-
  private:
   std::size_t states_;
   std::vector<PeriodSample> samples_;
   PeriodSample current_;
   bool in_period_ = false;
-  bool track_hosts_ = false;
-  std::size_t tracked_state_ = 0;
-  std::vector<std::vector<ProcessId>> host_history_;
 };
 
 }  // namespace deproto::sim

@@ -10,7 +10,7 @@
 #include <cstddef>
 
 #include "sim/group.hpp"
-#include "sim/metrics.hpp"
+#include "sim/rng.hpp"
 
 namespace deproto::sim {
 
@@ -22,8 +22,7 @@ class PeriodicProtocol {
   [[nodiscard]] virtual std::size_t num_states() const = 0;
 
   /// Execute one protocol period for all alive processes.
-  virtual void execute_period(Group& group, Rng& rng,
-                              MetricsCollector& metrics) = 0;
+  virtual void execute_period(Group& group, Rng& rng) = 0;
 
   /// Hook called when a process crashes (e.g. drop stored replicas).
   virtual void on_crash(ProcessId /*pid*/) {}

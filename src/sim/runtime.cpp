@@ -6,11 +6,15 @@ namespace deproto::sim {
 
 MachineExecutor::MachineExecutor(core::ProtocolStateMachine machine,
                                  RuntimeOptions options)
-    : machine_(std::move(machine)), options_(options) {}
+    : machine_(std::move(machine)), options_(options) {
+  for (const core::Action& action : machine_.actions()) {
+    layouts_.push_back(core::layout_of(action));
+  }
+}
 
 std::optional<std::size_t> MachineExecutor::probe(const Group& group,
                                                   ProcessId self, Rng& rng) {
-  ++probes_last_;
+  ++probes_total_;
   const ProcessId target = group.random_target(self, rng);
   if (options_.message_loss > 0.0 && rng.bernoulli(options_.message_loss)) {
     return std::nullopt;  // connection attempt failed
@@ -55,10 +59,7 @@ void MachineExecutor::route_token(Group& group, Rng& rng,
   ++tokens_.dropped;
 }
 
-void MachineExecutor::execute_period(Group& group, Rng& rng,
-                                     MetricsCollector& /*metrics*/) {
-  probes_last_ = 0;
-
+void MachineExecutor::execute_period(Group& group, Rng& rng) {
   // Iterate all processes in a fresh random order each period. A process
   // executes the action list of the state it holds when its turn comes; it
   // stops after its first firing transition (one transition per period --
@@ -89,87 +90,40 @@ void MachineExecutor::execute_period(Group& group, Rng& rng,
     if (jacobi && group.state_of(pid) != state) continue;
 
     for (std::size_t action_idx : machine_.actions_of(state)) {
-      const core::Action& action = machine_.actions()[action_idx];
-      bool transitioned = false;
-
-      std::visit(
-          [&](const auto& a) {
-            using T = std::decay_t<decltype(a)>;
-            if constexpr (std::is_same_v<T, core::FlippingAction>) {
-              if (rng.bernoulli(a.coin_bias)) {
-                group.transition(pid, a.to_state);
-                transitioned = true;
-              }
-            } else if constexpr (std::is_same_v<T, core::SamplingAction>) {
-              bool match = true;
-              for (std::size_t k = 0; match && k < a.same_state_samples;
-                   ++k) {
-                const auto s = probe(group, pid, rng);
-                match = s.has_value() && *s == a.from_state;
-              }
-              for (std::size_t target : a.target_states) {
-                if (!match) break;
-                const auto s = probe(group, pid, rng);
-                match = s.has_value() && *s == target;
-              }
-              if (match && rng.bernoulli(a.coin_bias)) {
-                group.transition(pid, a.to_state);
-                transitioned = true;
-              }
-            } else if constexpr (std::is_same_v<T, core::TokenizingAction>) {
-              bool match = true;
-              for (std::size_t k = 0; match && k < a.same_state_samples;
-                   ++k) {
-                const auto s = probe(group, pid, rng);
-                match = s.has_value() && *s == a.executor_state;
-              }
-              for (std::size_t target : a.target_states) {
-                if (!match) break;
-                const auto s = probe(group, pid, rng);
-                match = s.has_value() && *s == target;
-              }
-              if (match && rng.bernoulli(a.coin_bias)) {
-                // The executor does not transition; the token does the work.
-                route_token(group, rng, a.token_state, a.to_state);
-              }
-            } else if constexpr (std::is_same_v<T, core::PushAction>) {
-              for (unsigned k = 0; k < a.fanout; ++k) {
-                const ProcessId target = group.random_target(pid, rng);
-                ++probes_last_;
-                if (options_.message_loss > 0.0 &&
-                    rng.bernoulli(options_.message_loss)) {
-                  continue;
-                }
-                if (!group.alive(target)) continue;
-                const std::size_t observed =
-                    jacobi ? snap_state_[target] : group.state_of(target);
-                // Live recheck prevents double-converting a target two
-                // pushers both saw as convertible in the snapshot.
-                if (observed == a.target_state &&
-                    group.state_of(target) == a.target_state &&
-                    rng.bernoulli(a.coin_bias)) {
-                  group.transition(target, a.to_state);
-                }
-              }
-            } else if constexpr (std::is_same_v<T,
-                                                core::AnyOfSamplingAction>) {
-              bool any = false;
-              for (unsigned k = 0; !any && k < a.fanout; ++k) {
-                const auto s = probe(group, pid, rng);
-                any = s.has_value() && *s == a.match_state;
-              }
-              if (any && rng.bernoulli(a.coin_bias)) {
-                group.transition(pid, a.to_state);
-                transitioned = true;
-              }
-            }
-          },
-          action);
-
-      if (transitioned) break;
+      const core::ActionLayout& l = layouts_[action_idx];
+      if (l.mover == core::Mover::Contacts) {
+        for (std::size_t k = 0; k < l.probes; ++k) {
+          const ProcessId target = group.random_target(pid, rng);
+          ++probes_total_;
+          if (options_.message_loss > 0.0 &&
+              rng.bernoulli(options_.message_loss)) {
+            continue;
+          }
+          if (!group.alive(target)) continue;
+          const std::size_t observed =
+              jacobi ? snap_state_[target] : group.state_of(target);
+          // Live recheck prevents double-converting a target two pushers
+          // both saw as convertible in the snapshot.
+          if (observed == l.from && group.state_of(target) == l.from &&
+              rng.bernoulli(l.coin_bias)) {
+            group.transition(target, l.to);
+          }
+        }
+        continue;
+      }
+      // Flipping, Sampling, Tokenizing and AnyOfSampling: probe in order
+      // up to the first decisive reply, then toss the coin.
+      const auto reply = [&](std::size_t) { return probe(group, pid, rng); };
+      if (!l.judge_in_order(reply) || !rng.bernoulli(l.coin_bias)) continue;
+      if (l.mover == core::Mover::Token) {
+        // The executor does not transition; the token does the work.
+        route_token(group, rng, l.from, l.to);
+        continue;
+      }
+      group.transition(pid, l.to);
+      break;
     }
   }
-  probes_total_ += probes_last_;
 }
 
 }  // namespace deproto::sim

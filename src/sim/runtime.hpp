@@ -1,9 +1,14 @@
 #pragma once
 
 // Generic interpreter: execute any synthesized ProtocolStateMachine over a
-// simulated group, one protocol period at a time. Supports all five action
-// kinds, message-loss injection, and both token routing modes of Section 6
-// (full-membership directory, or TTL-bounded random walk).
+// simulated group, one protocol period at a time. Every action kind runs
+// through its core::layout_of: Flipping, Sampling, Tokenizing and
+// AnyOfSampling share one probe loop that judges replies in order and
+// stops at the first decisive one (ActionLayout::judge_in_order, which
+// agrees with the event/net core::probe_rule); only Push contacts and the
+// token hand-off run apart. Supports message-loss injection and both token
+// routing modes of Section 6 (full-membership directory, or TTL-bounded
+// random walk).
 
 #include <cstddef>
 #include <cstdint>
@@ -70,13 +75,15 @@ class MachineExecutor final : public PeriodicProtocol {
  public:
   explicit MachineExecutor(core::ProtocolStateMachine machine,
                            RuntimeOptions options = {});
+  // layouts_ views machine_'s actions, so a copy would dangle.
+  MachineExecutor(const MachineExecutor&) = delete;
+  MachineExecutor& operator=(const MachineExecutor&) = delete;
 
   [[nodiscard]] std::size_t num_states() const override {
     return machine_.num_states();
   }
 
-  void execute_period(Group& group, Rng& rng,
-                      MetricsCollector& metrics) override;
+  void execute_period(Group& group, Rng& rng) override;
 
   [[nodiscard]] const core::ProtocolStateMachine& machine() const noexcept {
     return machine_;
@@ -85,10 +92,7 @@ class MachineExecutor final : public PeriodicProtocol {
     return tokens_;
   }
 
-  /// Sampling probes sent in the last period / in total.
-  [[nodiscard]] std::uint64_t probes_last_period() const noexcept {
-    return probes_last_;
-  }
+  /// Sampling probes and push contacts sent in total.
   [[nodiscard]] std::uint64_t probes_total() const noexcept {
     return probes_total_;
   }
@@ -103,9 +107,9 @@ class MachineExecutor final : public PeriodicProtocol {
                    std::size_t to_state);
 
   core::ProtocolStateMachine machine_;
+  std::vector<core::ActionLayout> layouts_;  // per action, built once
   RuntimeOptions options_;
   TokenStats tokens_;
-  std::uint64_t probes_last_ = 0;
   std::uint64_t probes_total_ = 0;
   std::vector<ProcessId> order_;  // scratch: per-period iteration order
   // Period-start snapshot used by simultaneous_updates mode.

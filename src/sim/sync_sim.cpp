@@ -42,7 +42,7 @@ void SyncSimulator::run(std::size_t periods) {
         [this](ProcessId, std::size_t from, std::size_t to) {
           metrics_.record_transition(from, to);
         });
-    protocol_.execute_period(group_, rng_, metrics_);
+    protocol_.execute_period(group_, rng_);
     group_.set_transition_observer(nullptr);
     metrics_.end_period(group_);
     ++period_;

@@ -201,6 +201,31 @@ TEST(SpecJsonTest, BadShapesThrow) {
                SpecError);
 }
 
+TEST(SpecJsonTest, ClockDriftOutsideItsBandFailsNamingTheField) {
+  // [0, 0.5) on every backend: sync and count ignore the drift, but a
+  // spec that claims 0.7 is wrong wherever it runs.
+  for (const char* text :
+       {R"({"clock_drift":0.7})", R"({"clock_drift":0.5})",
+        R"({"clock_drift":-0.01})",
+        R"({"backend":"event","clock_drift":0.9})"}) {
+    try {
+      (void)ScenarioSpec::from_json(Json::parse(text));
+      ADD_FAILURE() << "parsed " << text;
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("clock_drift"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(
+      ScenarioSpec::from_json(Json::parse(R"({"clock_drift":0.0})"))
+          .clock_drift,
+      0.0);
+  EXPECT_DOUBLE_EQ(
+      ScenarioSpec::from_json(Json::parse(R"({"clock_drift":0.49})"))
+          .clock_drift,
+      0.49);
+}
+
 TEST(SpecJsonTest, NullNumericFieldsAreRejectedNotNaN) {
   // Result documents tolerate null metrics (they read back as NaN); spec
   // documents are inputs, where null/NaN is a configuration error --

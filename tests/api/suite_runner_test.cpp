@@ -537,25 +537,6 @@ TEST(SuiteRunnerTest, FailedJobLineCarriesErrorWithoutResult) {
   EXPECT_EQ(count, 5U);
 }
 
-TEST(SuiteRunnerTest, JsonlTimingAddsElapsedAndCacheProvenance) {
-  std::ostringstream jsonl;
-  SuiteOptions options;
-  options.jsonl = &jsonl;
-  options.jsonl_timing = true;
-  (void)SuiteRunner(options).run_jobs(seed_jobs(2), "timed");
-
-  std::istringstream lines(jsonl.str());
-  std::string line;
-  std::size_t count = 0;
-  while (std::getline(lines, line)) {
-    const Json parsed = Json::parse(line);
-    EXPECT_FALSE(parsed.at("cached").as_bool());
-    EXPECT_TRUE(parsed.at("result").contains("elapsed_seconds"));
-    ++count;
-  }
-  EXPECT_EQ(count, 2U);
-}
-
 TEST(SuiteRunnerTest, ZeroThreadsMeansAtLeastOneWorker) {
   SuiteOptions options;
   options.threads = 0;  // hardware concurrency, clamped to the job count

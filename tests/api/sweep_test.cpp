@@ -241,6 +241,36 @@ TEST(SweepSpecTest, RejectsUnknownFieldsIndicesAndTypes) {
                SpecError);
 }
 
+TEST(SweepSpecTest, OutOfRangeClockDriftAxisFailsItsJobNamingTheField) {
+  // An axis writes clock_drift raw; the launch-time check turns the 0.7
+  // point into a SpecError on the sync backend too, which ignores drift
+  // and would otherwise run it silently.
+  SweepSpec sweep;
+  sweep.base = small_base();
+  sweep.axes.push_back(SweepAxis{"clock_drift", {num(0.1), num(0.7)}});
+  const std::vector<SweepJob> jobs = sweep.expand();
+  ASSERT_EQ(jobs.size(), 2U);
+  ASSERT_EQ(jobs[1].spec.backend, Backend::Sync);
+  try {
+    (void)Experiment(jobs[1].spec).launch();
+    ADD_FAILURE() << "launched the clock_drift = 0.7 point";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("clock_drift"), std::string::npos)
+        << e.what();
+  }
+
+  SuiteOptions options;
+  options.threads = 1;
+  options.store_results = false;
+  const SweepResult result = SuiteRunner(options).run(sweep);
+  EXPECT_EQ(result.jobs_failed, 1U);
+  ASSERT_EQ(result.jobs.size(), 2U);
+  EXPECT_TRUE(result.jobs[0].ok) << result.jobs[0].error;
+  EXPECT_FALSE(result.jobs[1].ok);
+  EXPECT_NE(result.jobs[1].error.find("clock_drift"), std::string::npos)
+      << result.jobs[1].error;
+}
+
 TEST(SweepSpecTest, OutOfRangeLossAxisFailsItsJobNamingTheField) {
   // An axis writes runtime.message_loss raw; the launch-time check turns
   // the 1.5 point into a SpecError instead of a sync run with loss 1.5.

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/churn.hpp"
 #include "sim/metrics.hpp"
 
@@ -114,36 +112,6 @@ TEST(MetricsTest, WindowSummaries) {
   const WindowSummary flux = metrics.summarize_flux(0, 1, 0, 4);
   EXPECT_DOUBLE_EQ(flux.max, 1.0);
   EXPECT_DOUBLE_EQ(flux.min, 0.0);
-}
-
-TEST(MetricsTest, HostHistoryTracksMembership) {
-  Group g(5, 2);
-  MetricsCollector metrics(2);
-  metrics.enable_host_history(1);
-  metrics.begin_period(0.0);
-  g.transition(2, 1);
-  metrics.end_period(g);
-  ASSERT_EQ(metrics.host_history().size(), 1U);
-  ASSERT_EQ(metrics.host_history()[0].size(), 1U);
-  EXPECT_EQ(metrics.host_history()[0][0], 2U);
-}
-
-TEST(MetricsTest, CsvOutputs) {
-  Group g(4, 2);
-  MetricsCollector metrics(2);
-  metrics.begin_period(0.0);
-  g.transition(0, 1);
-  metrics.record_transition(0, 1);
-  metrics.end_period(g);
-
-  std::ostringstream pop;
-  metrics.write_population_csv(pop, {"idle", "busy"});
-  EXPECT_NE(pop.str().find("time,idle,busy,alive"), std::string::npos);
-  EXPECT_NE(pop.str().find("0,3,1,4"), std::string::npos);
-
-  std::ostringstream flux;
-  metrics.write_flux_csv(flux, {"idle", "busy"});
-  EXPECT_NE(flux.str().find("idle->busy"), std::string::npos);
 }
 
 }  // namespace

@@ -29,7 +29,9 @@ TEST(MachineExecutorTest, ProbeCountMatchesMessageComplexity) {
   simulator.seed_states({100, 0});  // everyone susceptible, nobody infected
   simulator.run(1);
   // Every susceptible sends exactly 1 probe per period.
-  EXPECT_EQ(executor.probes_last_period(), 100U);
+  EXPECT_EQ(executor.probes_total(), 100U);
+  simulator.run(1);
+  EXPECT_EQ(executor.probes_total(), 200U);
 }
 
 TEST(MachineExecutorTest, LvExecutorTracksOdeTrajectory) {

@@ -12,8 +12,7 @@ class FlipProtocol final : public PeriodicProtocol {
   [[nodiscard]] std::size_t num_states() const override { return 2; }
   void on_crash(ProcessId) override { ++crashes_seen_; }
 
-  void execute_period(Group& group, Rng& rng,
-                      MetricsCollector& /*metrics*/) override {
+  void execute_period(Group& group, Rng& rng) override {
     const std::size_t k = rng.binomial(group.count(0), q_);
     for (std::size_t i = 0; i < k; ++i) {
       group.transition(group.random_member(0, rng), 1);
