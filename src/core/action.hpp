@@ -168,7 +168,7 @@ using ProbeReplies = std::vector<std::optional<std::size_t>>;
 /// decides once the last reply is in.
 struct ProbeRule {
   std::size_t probes = 0;  // probes one execution sends; 0 for Flip, Push
-  bool fires = false;      // all replies in and matching; coin still to toss
+  bool fires = false;      // every reply in, judge holds; coin still to toss
 };
 
 /// A full reply vector fires when its layout's judge holds over it (every
