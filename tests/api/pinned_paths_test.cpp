@@ -1,7 +1,8 @@
 // Byte pins for runtime paths that no registry scenario or sweep preset
 // reaches, so neither the smoke digest nor the bench digests cover them:
-// the sync backend's simultaneous-update (Jacobi) snapshot and TTL-bounded
-// random-walk token routing. Each case hashes the canonical result dump
+// the sync backend's simultaneous-update (Jacobi) snapshot, TTL-bounded
+// random-walk token routing, and the event backend's directory token
+// hand-off under faults. Each case hashes the canonical result dump
 // (to_json(false)) of one fixed-seed run. A change that moves one of these
 // digests changed the chain the run samples or the order of its draws.
 
@@ -44,6 +45,19 @@ ScenarioSpec ttl_invitation(Backend backend) {
   return spec;
 }
 
+// The same machine on event with the default Directory routing, under
+// message loss, background crash-recovery and a massive failure: tokens
+// meet crashed receivers, lost hand-offs and an emptied token state.
+ScenarioSpec faulty_directory_invitation() {
+  ScenarioSpec spec = ttl_invitation(Backend::Event);
+  spec.name = "invitation-directory-faults";
+  spec.runtime.tokens = {};
+  spec.faults.crash_recovery = {.crash_prob = 0.01,
+                                .mean_downtime_periods = 10.0};
+  spec.faults.massive_failures.push_back({.time = 10.0, .fraction = 0.5});
+  return spec;
+}
+
 TEST(PinnedPathsTest, EndemicJacobiWithLoss) {
   // Push, AnyOfSampling and Flipping against the period-start snapshot.
   ScenarioSpec spec = jacobi("endemic");
@@ -66,6 +80,11 @@ TEST(PinnedPathsTest, InvitationTtlTokensSync) {
 TEST(PinnedPathsTest, InvitationTtlTokensEvent) {
   EXPECT_EQ(digest(ttl_invitation(Backend::Event)),
             "4130d88c6ccc7172d57513722656fcd7efa69410df6a19c816863f640050a1f4");
+}
+
+TEST(PinnedPathsTest, InvitationDirectoryTokensEventWithFaults) {
+  EXPECT_EQ(digest(faulty_directory_invitation()),
+            "40b2060090c9f5a822e0fbead3ca346e700739dea31d04a57fa401c5ca433695");
 }
 
 TEST(PinnedPathsTest, InvitationTtlTokensCount) {
