@@ -7,18 +7,29 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "analysis/exact_chain.hpp"
+#include "analysis/machine_checks.hpp"
 #include "core/fluctuations.hpp"
-#include "core/mean_field.hpp"
-#include "numerics/newton.hpp"
-#include "numerics/stability.hpp"
 #include "numerics/vector.hpp"
-#include "ode/taxonomy.hpp"
 
 namespace deproto::analysis {
 
 namespace {
+
+/// L-inf distance (in fractions) past which the exact chain and the mean
+/// field are considered divergent (transient-trap and meanfield-divergence
+/// severities).
+constexpr double kDivergenceTol = 0.10;
+/// Relative gap past which the exact count stddev contradicts the CLT
+/// prediction. Loose: the linear-noise approximation is itself only
+/// asymptotic, so small-N gaps of tens of percent are expected rather
+/// than suspicious.
+constexpr double kFluctuationTol = 0.5;
+/// Absorption probabilities at or below this are not reported as traps
+/// (unreachable corners of the lattice stay quiet).
+constexpr double kTrapProbTol = 1e-6;
 
 std::string fmt(double v) {
   char buf[32];
@@ -54,7 +65,7 @@ std::string count_point(const core::ProtocolStateMachine& machine,
 /// rate, split into stable and all. The trap / divergence rules compare
 /// against the stable ones when any exist (an unstable equilibrium is not
 /// where the mean field predicts mass to rest), else against all.
-struct SimplexEquilibria {
+struct ReferenceEquilibria {
   std::vector<num::Vec> stable;
   std::vector<num::Vec> all;
 
@@ -63,25 +74,12 @@ struct SimplexEquilibria {
   }
 };
 
-SimplexEquilibria simplex_equilibria(
+ReferenceEquilibria reference_equilibria(
     const core::ProtocolStateMachine& machine, double message_loss) {
-  SimplexEquilibria out;
-  const ode::EquationSystem derived =
-      core::mean_field(machine, message_loss).simplified();
-  const bool complete = ode::is_complete(derived);
-  for (const num::Vec& x : num::find_equilibria(derived)) {
-    double total = 0.0;
-    double lowest = 1.0;
-    for (std::size_t v = 0; v < x.size(); ++v) {
-      total += x[v];
-      lowest = std::min(lowest, x[v]);
-    }
-    if (lowest < -1e-9 || std::abs(total - 1.0) > 1e-6) continue;
-    const num::StabilityReport report =
-        complete ? num::classify_on_simplex(derived, x)
-                 : num::classify_equilibrium(derived, x);
-    out.all.push_back(x);
-    if (report.stable) out.stable.push_back(x);
+  ReferenceEquilibria out;
+  for (SimplexEquilibrium& e : simplex_equilibria(machine, message_loss)) {
+    if (e.stability.stable) out.stable.push_back(e.point);
+    out.all.push_back(std::move(e.point));
   }
   return out;
 }
@@ -120,8 +118,8 @@ void add_verdicts(const core::ProtocolStateMachine& machine,
                   const ExactCheckOptions& options, double message_loss,
                   std::vector<Finding>& findings) {
   const std::size_t start = chain.seeded_index(seed_counts);
-  const SimplexEquilibria equilibria =
-      simplex_equilibria(machine, message_loss);
+  const ReferenceEquilibria equilibria =
+      reference_equilibria(machine, message_loss);
   const std::vector<double> absorb = chain.absorption_probabilities(start);
   const std::vector<std::size_t> recurrent = chain.recurrent_classes();
 
@@ -140,7 +138,7 @@ void add_verdicts(const core::ProtocolStateMachine& machine,
              " from the seeded start",
          absorb[k]});
 
-    if (absorb[k] <= options.trap_prob_tol) continue;
+    if (absorb[k] <= kTrapProbTol) continue;
     if (equilibria.reference().empty()) continue;
     double class_distance = std::numeric_limits<double>::infinity();
     for (const std::size_t member : cls.members) {
@@ -148,7 +146,7 @@ void add_verdicts(const core::ProtocolStateMachine& machine,
           class_distance,
           distance_to_reference(chain, member, equilibria.reference()));
     }
-    if (class_distance > options.divergence_tol) {
+    if (class_distance > kDivergenceTol) {
       findings.push_back(
           {Severity::Warning, "exact.transient-trap", where,
            "absorbed with probability " + fmt(absorb[k]) +
@@ -183,7 +181,7 @@ void add_verdicts(const core::ProtocolStateMachine& machine,
       }
     }
     findings.push_back(
-        {best > options.divergence_tol ? Severity::Warning : Severity::Info,
+        {best > kDivergenceTol ? Severity::Warning : Severity::Info,
          "exact.meanfield-divergence", fraction_point(machine, mean),
          "exact stationary mean vs mean-field equilibrium " +
              fraction_point(machine, reference[nearest]) +
@@ -212,8 +210,7 @@ void add_verdicts(const core::ProtocolStateMachine& machine,
           }
         }
         findings.push_back(
-            {gap > options.fluctuation_tol ? Severity::Warning
-                                           : Severity::Info,
+            {gap > kFluctuationTol ? Severity::Warning : Severity::Info,
              "exact.fluctuation-mismatch",
              "state " + machine.state_name(gap_state),
              "exact stationary count stddev " + fmt(exact_stddev[gap_state]) +

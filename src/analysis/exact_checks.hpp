@@ -30,12 +30,12 @@
 //                                warning) exact stationary mean and the
 //                                         nearest mean-field equilibrium
 //                                         (ergodic chains only); warning
-//                                         past divergence_tol
+//                                         past 0.10
 //   exact.fluctuation-mismatch  (info /   relative gap between the exact
 //                                warning) stationary count stddev and the
 //                                         CLT prediction of
 //                                         core/fluctuations.*; warning
-//                                         past fluctuation_tol
+//                                         past 0.5
 //   exact.solve-failed          (error)   an absorption, hitting-time or
 //                                         stationary solve reached its
 //                                         iteration cap unconverged; the
@@ -70,18 +70,6 @@ struct ExactCheckOptions {
   std::size_t max_states = 20000;
   /// Per-kernel-row outcome budget (ExactChainOptions::max_row_branches).
   std::size_t max_row_branches = 4000000;
-  /// L-inf distance (in fractions) past which the exact chain and the
-  /// mean field are considered divergent (transient-trap and
-  /// meanfield-divergence severities).
-  double divergence_tol = 0.10;
-  /// Relative gap past which the exact count stddev contradicts the CLT
-  /// prediction. Loose by default: the linear-noise approximation is
-  /// itself only asymptotic, so small-N gaps of tens of percent are
-  /// expected rather than suspicious.
-  double fluctuation_tol = 0.5;
-  /// Absorption probabilities at or below this are not reported as traps
-  /// (unreachable corners of the lattice stay quiet).
-  double trap_prob_tol = 1e-6;
 };
 
 /// Run the exact finite-N pass on one machine. `seed_counts` are

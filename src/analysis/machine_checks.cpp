@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mean_field.hpp"
@@ -18,6 +19,16 @@
 namespace deproto::analysis {
 
 namespace {
+
+/// Slack on per-action coin-bias range and drift-sum conservation.
+constexpr double kMassTol = 1e-9;
+/// Slack on the per-state worst-case leave-probability budget.
+constexpr double kBudgetTol = 1e-9;
+/// Largest tolerated coefficient deviation between the re-extracted mean
+/// field and p * source. Looser than the boolean runtime gate
+/// (core::verifies_equivalence at 1e-9) only by giving the measured
+/// residual back instead of a yes/no.
+constexpr double kResidualTol = 1e-7;
 
 std::string fmt(double v) {
   char buf[32];
@@ -54,8 +65,7 @@ std::vector<Finding> check_mass(const core::ProtocolStateMachine& machine,
   // (the expected moved mass exceeds the mass present in the from-state).
   for (const core::ChannelShape& sh : shapes) {
     if (!std::isfinite(sh.coin_bias) ||
-        sh.coin_bias < -options.mass_tol ||
-        sh.coin_bias > 1.0 + options.mass_tol) {
+        sh.coin_bias < -kMassTol || sh.coin_bias > 1.0 + kMassTol) {
       findings.push_back(
           {Severity::Error, "mass.action-bias", action_label(sh.action),
            "coin bias " + fmt(sh.coin_bias) +
@@ -75,7 +85,7 @@ std::vector<Finding> check_mass(const core::ProtocolStateMachine& machine,
     for (const core::ChannelShape& sh : shapes) {
       if (sh.moves_executor && sh.executor == s) budget += sh.max_fire_prob;
     }
-    if (budget > 1.0 + options.budget_tol) {
+    if (budget > 1.0 + kBudgetTol) {
       findings.push_back(
           {Severity::Warning, "mass.state-budget", state_label(machine, s),
            "worst-case leave probability " + fmt(budget) +
@@ -105,7 +115,7 @@ std::vector<Finding> check_mass(const core::ProtocolStateMachine& machine,
       for (std::size_t s = 0; s < m; ++s) total += drift[s];
       worst = std::max(worst, std::abs(total));
     }
-    if (worst > options.mass_tol) {
+    if (worst > kMassTol) {
       findings.push_back(
           {Severity::Error, "mass.conservation", "simplex samples",
            "expected drift sums to " + fmt(worst) +
@@ -226,7 +236,7 @@ std::vector<Finding> check_mean_field(
       worst_var = v;
     }
   }
-  if (residual > options.residual_tol) {
+  if (residual > kResidualTol) {
     findings.push_back(
         {Severity::Error, "mean-field.residual",
          "d" + derived.name(worst_var) + "/dt",
@@ -244,19 +254,13 @@ std::vector<Finding> check_mean_field(
   return findings;
 }
 
-std::vector<Finding> check_fixed_points(
-    const core::ProtocolStateMachine& machine,
-    const MachineCheckOptions& options) {
-  std::vector<Finding> findings;
-  if (!options.fixed_points) return findings;
-
+std::vector<SimplexEquilibrium> simplex_equilibria(
+    const core::ProtocolStateMachine& machine, double failure_rate) {
+  std::vector<SimplexEquilibrium> out;
   const ode::EquationSystem derived =
-      core::mean_field(machine, options.failure_rate).simplified();
+      core::mean_field(machine, failure_rate).simplified();
   const bool complete = ode::is_complete(derived);
-  const std::vector<num::Vec> roots = num::find_equilibria(derived);
-
-  std::size_t on_simplex = 0;
-  for (const num::Vec& x : roots) {
+  for (num::Vec& x : num::find_equilibria(derived)) {
     double total = 0.0;
     double lowest = 1.0;
     for (std::size_t v = 0; v < x.size(); ++v) {
@@ -264,11 +268,23 @@ std::vector<Finding> check_fixed_points(
       lowest = std::min(lowest, x[v]);
     }
     if (lowest < -1e-9 || std::abs(total - 1.0) > 1e-6) continue;
-    ++on_simplex;
-
-    const num::StabilityReport report =
+    num::StabilityReport report =
         complete ? num::classify_on_simplex(derived, x)
                  : num::classify_equilibrium(derived, x);
+    out.push_back({std::move(x), std::move(report)});
+  }
+  return out;
+}
+
+std::vector<Finding> check_fixed_points(
+    const core::ProtocolStateMachine& machine,
+    const MachineCheckOptions& options) {
+  std::vector<Finding> findings;
+  if (!options.fixed_points) return findings;
+
+  const std::vector<SimplexEquilibrium> equilibria =
+      simplex_equilibria(machine, options.failure_rate);
+  for (const auto& [x, report] : equilibria) {
     double abscissa = 0.0;
     for (const std::complex<double>& ev : report.eigenvalues) {
       abscissa = std::max(abscissa, ev.real());
@@ -286,7 +302,7 @@ std::vector<Finding> check_fixed_points(
              (report.stable ? ", asymptotically stable" : ", not stable"),
          abscissa});
   }
-  if (on_simplex == 0) {
+  if (equilibria.empty()) {
     findings.push_back(
         {Severity::Warning, "fixed-point.none", "mean field",
          "no equilibrium found on the probability simplex: the protocol "

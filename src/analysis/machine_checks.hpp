@@ -41,20 +41,13 @@
 
 #include "analysis/report.hpp"
 #include "core/state_machine.hpp"
+#include "numerics/stability.hpp"
+#include "numerics/vector.hpp"
 #include "ode/equation_system.hpp"
 
 namespace deproto::analysis {
 
 struct MachineCheckOptions {
-  /// Slack on per-action coin-bias range and drift-sum conservation.
-  double mass_tol = 1e-9;
-  /// Slack on the per-state worst-case leave-probability budget.
-  double budget_tol = 1e-9;
-  /// Largest tolerated coefficient deviation between the re-extracted
-  /// mean field and p * source. Looser than the boolean runtime gate
-  /// (core::verifies_equivalence at 1e-9) only by giving the measured
-  /// residual back instead of a yes/no.
-  double residual_tol = 1e-7;
   /// Network failure rate fed to the mean-field extraction, mirroring
   /// what the machine was compensated for (spec.synthesis.failure_rate).
   double failure_rate = 0.0;
@@ -82,6 +75,20 @@ struct MachineCheckOptions {
     const core::ProtocolStateMachine& machine,
     const ode::EquationSystem& source,
     const MachineCheckOptions& options = {});
+
+/// An equilibrium of the re-extracted mean field that lies on the
+/// probability simplex, with its stability classification.
+struct SimplexEquilibrium {
+  num::Vec point;
+  num::StabilityReport stability;
+};
+
+/// The equilibria of mean_field(machine, failure_rate) on the probability
+/// simplex (every entry >= -1e-9, entries summing to 1 within 1e-6), in
+/// num::find_equilibria's order. A complete system is classified on the
+/// simplex (num::classify_on_simplex), any other in the full space.
+[[nodiscard]] std::vector<SimplexEquilibrium> simplex_equilibria(
+    const core::ProtocolStateMachine& machine, double failure_rate);
 
 /// The fixed-point.* pass over the re-extracted mean field.
 [[nodiscard]] std::vector<Finding> check_fixed_points(

@@ -38,8 +38,8 @@
 namespace deproto::analysis {
 
 struct VerifyOptions {
-  /// Tolerances and toggles for the machine-level passes. failure_rate
-  /// and seeded_states are derived from the spec and overwritten.
+  /// Toggles for the machine-level passes. failure_rate and
+  /// seeded_states are derived from the spec and overwritten.
   MachineCheckOptions machine;
   /// Honor spec.lint_suppress (deproto-lint --no-suppress sets false).
   bool apply_suppressions = true;

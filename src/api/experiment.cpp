@@ -465,6 +465,8 @@ ExperimentResult ExperimentRun::finish() {
     result.messages_dropped = stats.probe_timeouts;
     result.net_stats = stats;
   } else {
+    // event_->token_stats() is counted too, but reporting it (and the
+    // probe count) moves the pinned result bytes; see ROADMAP item 6.
     result.messages_sent = event_->network().sent();
     result.messages_dropped = event_->network().dropped();
   }

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "api/experiment.hpp"
 #include "api/suite_runner.hpp"
@@ -223,6 +225,11 @@ std::size_t SweepSpec::point_count() const {
       }
     }
     if (mode == SweepMode::Grid) {
+      if (points > std::numeric_limits<std::size_t>::max() /
+                       axis.values.size()) {
+        throw SpecError("sweep grid: axis " + axis.field +
+                        " overflows the point count");
+      }
       points *= axis.values.size();
     } else if (axis.values.size() != points) {
       throw SpecError("zip sweep: axis " + axis.field + " has " +
@@ -234,17 +241,22 @@ std::size_t SweepSpec::point_count() const {
 }
 
 std::size_t SweepSpec::job_count() const {
-  if (replicates == 0) {
-    throw SpecError("sweep " + name + ": replicates must be >= 1");
-  }
-  return point_count() * replicates;
-}
-
-std::vector<SweepJob> SweepSpec::expand() const {
   const std::size_t points = point_count();
   if (replicates == 0) {
     throw SpecError("sweep " + name + ": replicates must be >= 1");
   }
+  if (replicates > std::numeric_limits<std::size_t>::max() / points) {
+    throw SpecError("sweep " + name + ": replicates = " +
+                    std::to_string(replicates) + " over " +
+                    std::to_string(points) +
+                    " points overflows the job count");
+  }
+  return points * replicates;
+}
+
+std::vector<SweepJob> SweepSpec::expand() const {
+  const std::size_t total = job_count();
+  const std::size_t points = total / replicates;
 
   // Grid strides: first axis outermost (slowest-varying), so the job list
   // reads like the equivalent nested for loops.
@@ -256,7 +268,7 @@ std::vector<SweepJob> SweepSpec::expand() const {
   }
 
   std::vector<SweepJob> jobs;
-  jobs.reserve(points * replicates);
+  jobs.reserve(total);
   for (std::size_t p = 0; p < points; ++p) {
     ScenarioSpec point_spec = base;
     SweepCoords coords;

@@ -73,9 +73,10 @@ struct SweepSpec {
   std::size_t replicates = 1;
 
   /// Points = grid product / zip length; throws SpecError on an empty or
-  /// mismatched axis.
+  /// mismatched axis, or a grid product past SIZE_MAX.
   [[nodiscard]] std::size_t point_count() const;
-  /// point_count() * replicates.
+  /// point_count() * replicates; throws SpecError on zero replicates or
+  /// a product past SIZE_MAX.
   [[nodiscard]] std::size_t job_count() const;
   /// The flat job list, in the deterministic point-major order above.
   /// Throws SpecError on unknown axis fields or unappliable values.

@@ -23,7 +23,7 @@ EndemicEquilibrium endemic_equilibrium(const EndemicRates& rates) {
 }
 
 double endemic_sigma(const EndemicRates& rates) {
-  return (rates.beta - rates.gamma) / (1.0 + rates.gamma / rates.alpha);
+  return num::endemic_sigma(rates.beta, rates.gamma, rates.alpha);
 }
 
 num::StabilityReport endemic_stability(const EndemicRates& rates) {

@@ -32,7 +32,9 @@ struct EndemicEquilibrium {
 /// The second (non-trivial) equilibrium of eq. (2). Requires beta > gamma.
 [[nodiscard]] EndemicEquilibrium endemic_equilibrium(const EndemicRates& rates);
 
-/// sigma = (beta - gamma) / (1 + gamma/alpha)  (eq. 4 quantities).
+/// sigma = (beta - gamma) / (1 + gamma/alpha)  (eq. 4 quantities), as
+/// num::endemic_sigma computes it; throws std::invalid_argument unless
+/// alpha > 0.
 [[nodiscard]] double endemic_sigma(const EndemicRates& rates);
 
 /// Stability of the second equilibrium via matrix A (Theorem 3: always a

@@ -51,6 +51,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync_sim.hpp"
+#include "sim/async_runtime.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/count_period.hpp"
 #include "sim/count_sim.hpp"

@@ -1,12 +1,11 @@
 #include "net/net_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <utility>
-
-#include "core/action.hpp"
-#include "sim/fault_plan.hpp"
 
 namespace deproto::net {
 
@@ -27,15 +26,9 @@ constexpr int kMaxPollMs = 100;
 NetSimulator::NetSimulator(std::size_t n,
                            core::ProtocolStateMachine machine,
                            std::uint64_t seed, NetSimOptions options)
-    : machine_(std::move(machine)),
-      options_(options),
-      rng_(seed),
-      group_(n, machine_.num_states()),
-      metrics_(machine_.num_states()),
-      faults_(queue_, rng_, group_,
-              {.crashed = [this](sim::ProcessId pid) { on_crashed(pid); },
-               .recovered = [this](sim::ProcessId pid) { on_recovered(pid); },
-               .departing = [this](sim::ProcessId pid) { send_leaves(pid); }}) {
+    : AsyncRuntime(n, std::move(machine), seed, options.clock_drift,
+                   options.tokens),
+      options_(options) {
   if (n < 2 || n > kMaxNodes) {
     throw std::invalid_argument(
         "NetSimulator: n must lie in [2, " + std::to_string(kMaxNodes) +
@@ -53,9 +46,6 @@ NetSimulator::NetSimulator(std::size_t n,
     throw std::invalid_argument(
         "NetSimulator: message_loss must lie in [0, 1)");
   }
-  if (!(options_.clock_drift >= 0.0 && options_.clock_drift < 0.5)) {
-    throw std::invalid_argument("NetSimulator: bad clock drift");
-  }
   nodes_.resize(n);
   addr_.resize(n);
   for (sim::ProcessId pid = 0; pid < n; ++pid) {
@@ -63,17 +53,12 @@ NetSimulator::NetSimulator(std::size_t n,
     node.socket = UdpSocket::bind_loopback();
     node.home_port = node.socket.port();
     addr_[pid] = loopback_endpoint(node.home_port);
-    node.period =
-        rng_.uniform(1.0 - options_.clock_drift, 1.0 + options_.clock_drift);
-    // Arbitrary phase: the first tick falls anywhere in the first period.
-    queue_.schedule(rng_.uniform01() * node.period,
-                    [this, pid] { on_tick(pid, 0); });
   }
 }
 
 // ---------------------------------------------------------------------
 // Wall clock <-> sim time. One protocol period == period_ms of real
-// time; the anchors are reset at every run_until so sim time does not
+// time; the anchors are reset at every run_for so sim time does not
 // elapse between runs.
 
 double NetSimulator::sim_of(Clock::time_point wall) const {
@@ -91,18 +76,10 @@ NetSimulator::Clock::time_point NetSimulator::wall_of(
                                 options_.period_ms));
 }
 
-void NetSimulator::run_for(double periods) { run_until(now() + periods); }
-
-void NetSimulator::run_until(double t_end) {
+void NetSimulator::run_for(double periods) {
   anchor_wall_ = Clock::now();
   anchor_sim_ = queue_.now();
-  while (next_sample_ <= t_end) {
-    advance_to(next_sample_);
-    metrics_.begin_period(queue_.now());
-    metrics_.end_period(group_);
-    next_sample_ += 1.0;
-  }
-  advance_to(t_end);
+  run_until(anchor_sim_ + periods);
 }
 
 void NetSimulator::advance_to(double t_end) {
@@ -211,36 +188,17 @@ void NetSimulator::handle_packet(sim::ProcessId pid, const Packet& packet,
       const auto it = node.pending.find(packet.tag);
       if (it == node.pending.end()) return;  // timed out or stale ack
       record_rtt(it->second.sent_at);
-      const std::shared_ptr<ProbeContext> ctx = it->second.ctx;
+      const std::uint32_t wait = it->second.wait;
       node.pending.erase(it);
-      resolve_probe(ctx, static_cast<std::size_t>(packet.state));
+      reply_arrived(wait, static_cast<std::size_t>(packet.state));
       return;
     }
-    case PacketType::Push: {
-      if (group_.alive(pid) && group_.state_of(pid) == packet.arg0 &&
-          rng_.bernoulli(q32_to_coin(packet.arg2))) {
-        group_.transition(pid, packet.arg1);
-      }
+    case PacketType::Push:
+      push_arrived(pid, packet.arg0, packet.arg1, q32_to_coin(packet.arg2));
       return;
-    }
-    case PacketType::Token: {
-      if (group_.alive(pid) && group_.state_of(pid) == packet.arg0) {
-        group_.transition(pid, packet.arg1);
-        ++tokens_.delivered;
-        return;
-      }
-      if (packet.arg2 > 0) {
-        // Random-walk routing: forward with one hop fewer.
-        Packet forward = packet;
-        forward.arg2 = packet.arg2 - 1;
-        const auto target =
-            static_cast<sim::ProcessId>(rng_.uniform_int(group_.size()));
-        if (!send_packet(pid, addr_[target], forward)) ++tokens_.dropped;
-        return;
-      }
-      ++tokens_.dropped;
+    case PacketType::Token:
+      token_arrived(pid, packet.arg0, packet.arg1, packet.arg2);
       return;
-    }
     case PacketType::Join: {
       if (!group_.alive(pid)) return;
       ++stats_.joins;
@@ -255,10 +213,7 @@ void NetSimulator::handle_packet(sim::ProcessId pid, const Packet& packet,
           packet.tag != node.incarnation) {
         return;  // stale ack from an earlier incarnation
       }
-      node.active = true;
-      const std::uint64_t epoch = node.timer_epoch;
-      queue_.schedule_in(rng_.uniform01() * node.period,
-                         [this, pid, epoch] { on_tick(pid, epoch); });
+      activate(pid);
       return;
     }
     case PacketType::Leave: {
@@ -302,126 +257,53 @@ void NetSimulator::record_rtt(Clock::time_point sent_at) {
 }
 
 // ---------------------------------------------------------------------
-// Protocol execution: one timer per node, the event backend's probe
-// rules, with probes as real request/response datagrams.
+// The carrier: probes as request/response datagrams with a timeout,
+// pushes and tokens as one-way datagrams.
 
-void NetSimulator::arm_timer(sim::ProcessId pid) {
-  const std::uint64_t epoch = nodes_[pid].timer_epoch;
-  queue_.schedule_in(nodes_[pid].period,
-                     [this, pid, epoch] { on_tick(pid, epoch); });
+void NetSimulator::send_push(sim::ProcessId from, sim::ProcessId to,
+                             const core::ActionLayout& layout) {
+  Packet push;
+  push.type = PacketType::Push;
+  push.state = static_cast<std::uint8_t>(group_.state_of(from));
+  push.arg0 = static_cast<std::uint32_t>(layout.from);
+  push.arg1 = static_cast<std::uint32_t>(layout.to);
+  push.arg2 = coin_to_q32(layout.coin_bias);
+  send_packet(from, addr_[to], push);
 }
 
-void NetSimulator::on_tick(sim::ProcessId pid, std::uint64_t epoch) {
-  if (epoch != nodes_[pid].timer_epoch || !group_.alive(pid)) return;
-  for (std::size_t idx : machine_.actions_of(group_.state_of(pid))) {
-    run_action(pid, machine_.actions()[idx]);
-  }
-  arm_timer(pid);
+void NetSimulator::send_probe(sim::ProcessId from, sim::ProcessId to,
+                              std::uint32_t wait) {
+  const std::uint64_t probe_id = next_probe_id_++;
+  ++stats_.probes_sent;
+  nodes_[from].pending.emplace(probe_id, PendingProbe{wait, Clock::now()});
+  Packet probe;
+  probe.type = PacketType::Probe;
+  probe.state = static_cast<std::uint8_t>(group_.state_of(from));
+  probe.tag = probe_id;
+  send_packet(from, addr_[to], probe);
+  // The loss surrogate: if no reply claimed this probe id by the
+  // deadline, it resolves as lost -- whether the request leg, the reply
+  // leg, a crashed target, or an emulated drop ate it.
+  queue_.schedule_in(options_.probe_timeout, [this, from, probe_id] {
+    Node& owner = nodes_[from];
+    const auto it = owner.pending.find(probe_id);
+    if (it == owner.pending.end()) return;
+    const std::uint32_t pending_wait = it->second.wait;
+    owner.pending.erase(it);
+    ++stats_.probe_timeouts;
+    reply_arrived(pending_wait, std::nullopt);
+  });
 }
 
-void NetSimulator::probe_all(
-    sim::ProcessId pid, std::size_t count,
-    std::function<void(const core::ProbeReplies&)> done) {
-  auto ctx = std::make_shared<ProbeContext>();
-  ctx->remaining = count;
-  ctx->done = std::move(done);
-  ctx->replies.reserve(count);
-  if (count == 0) {
-    ctx->done({});
-    return;
-  }
-  Node& node = nodes_[pid];
-  for (std::size_t k = 0; k < count; ++k) {
-    const sim::ProcessId target = group_.random_target(pid, rng_);
-    const std::uint64_t probe_id = next_probe_id_++;
-    ++stats_.probes_sent;
-    node.pending.emplace(probe_id, PendingProbe{ctx, Clock::now()});
-    Packet probe;
-    probe.type = PacketType::Probe;
-    probe.state = static_cast<std::uint8_t>(group_.state_of(pid));
-    probe.tag = probe_id;
-    send_packet(pid, addr_[target], probe);
-    // The loss surrogate: if no reply claimed this probe id by the
-    // deadline, it resolves as lost -- whether the request leg, the
-    // reply leg, a crashed target, or an emulated drop ate it.
-    queue_.schedule_in(options_.probe_timeout, [this, pid, probe_id] {
-      Node& owner = nodes_[pid];
-      const auto it = owner.pending.find(probe_id);
-      if (it == owner.pending.end()) return;
-      const std::shared_ptr<ProbeContext> pending_ctx = it->second.ctx;
-      owner.pending.erase(it);
-      ++stats_.probe_timeouts;
-      resolve_probe(pending_ctx, std::nullopt);
-    });
-  }
-}
-
-void NetSimulator::resolve_probe(const std::shared_ptr<ProbeContext>& ctx,
-                                 std::optional<std::size_t> state) {
-  ctx->replies.push_back(state);
-  if (--ctx->remaining == 0) ctx->done(ctx->replies);
-}
-
-void NetSimulator::route_token(sim::ProcessId pid, std::size_t token_state,
-                               std::size_t to_state) {
-  ++tokens_.generated;
+bool NetSimulator::send_token(sim::ProcessId from, sim::ProcessId to,
+                              std::size_t token_state, std::size_t to_state,
+                              unsigned hops_left) {
   Packet token;
   token.type = PacketType::Token;
   token.arg0 = static_cast<std::uint32_t>(token_state);
   token.arg1 = static_cast<std::uint32_t>(to_state);
-  if (options_.tokens.mode == sim::TokenRouting::Mode::Directory) {
-    if (group_.count(token_state) == 0) {
-      ++tokens_.dropped;  // "If no processes are in state x, drop it"
-      return;
-    }
-    const sim::ProcessId receiver =
-        group_.random_member(token_state, rng_);
-    token.arg2 = 0;  // directory handoff: no forwarding
-    if (!send_packet(pid, addr_[receiver], token)) ++tokens_.dropped;
-    return;
-  }
-  if (options_.tokens.ttl == 0) {
-    ++tokens_.dropped;
-    return;
-  }
-  const auto target =
-      static_cast<sim::ProcessId>(rng_.uniform_int(group_.size()));
-  token.arg2 = options_.tokens.ttl - 1;  // hops left after this one
-  if (!send_packet(pid, addr_[target], token)) ++tokens_.dropped;
-}
-
-void NetSimulator::run_action(sim::ProcessId pid, const core::Action& action) {
-  const core::ActionLayout l = core::layout_of(action);
-  if (l.mover == core::Mover::Contacts) {
-    for (std::size_t k = 0; k < l.probes; ++k) {
-      const sim::ProcessId target = group_.random_target(pid, rng_);
-      Packet push;
-      push.type = PacketType::Push;
-      push.state = static_cast<std::uint8_t>(group_.state_of(pid));
-      push.arg0 = static_cast<std::uint32_t>(l.from);
-      push.arg1 = static_cast<std::uint32_t>(l.to);
-      push.arg2 = coin_to_q32(l.coin_bias);
-      send_packet(pid, addr_[target], push);
-    }
-    return;
-  }
-  if (l.judge == core::Judge::None) {  // Flipping: the coin alone decides
-    if (rng_.bernoulli(l.coin_bias)) group_.transition(pid, l.to);
-    return;
-  }
-  // A probing action: ask, then decide once every reply is in.
-  auto decide = [this, pid, &action](const core::ProbeReplies& r) {
-    const std::optional<std::size_t> self = group_.live_state(pid);
-    if (!core::probe_rule(action, self, r).fires) return;
-    const core::ActionLayout l = core::layout_of(action);
-    if (!rng_.bernoulli(l.coin_bias)) return;
-    if (l.mover == core::Mover::Token) {
-      route_token(pid, l.from, l.to);
-    } else {
-      group_.transition(pid, l.to);
-    }
-  };
-  probe_all(pid, l.probes, std::move(decide));
+  token.arg2 = hops_left;
+  return send_packet(from, addr_[to], token);
 }
 
 // ---------------------------------------------------------------------
@@ -429,13 +311,11 @@ void NetSimulator::run_action(sim::ProcessId pid, const core::Action& action) {
 
 void NetSimulator::on_crashed(sim::ProcessId pid) {
   // The port goes silent mid-flight: in-flight probes to it time out.
-  Node& node = nodes_[pid];
-  ++node.timer_epoch;
-  node.active = false;
-  node.socket.close();
+  nodes_[pid].active = false;
+  nodes_[pid].socket.close();
 }
 
-void NetSimulator::send_leaves(sim::ProcessId pid) {
+void NetSimulator::on_departing(sim::ProcessId pid) {
   // Churn departures announce themselves before going dark; the Leave is
   // informational (peers already absorb silent exits via timeouts).
   for (unsigned k = 0; k < kHandshakeFanout; ++k) {
@@ -456,7 +336,6 @@ void NetSimulator::on_recovered(sim::ProcessId pid) {
     node.socket = UdpSocket::bind_loopback();
   }
   addr_[pid] = loopback_endpoint(node.socket.port());
-  ++node.timer_epoch;
   ++node.incarnation;
   node.active = false;
   begin_join(pid, kJoinRetries);
@@ -468,10 +347,7 @@ void NetSimulator::begin_join(sim::ProcessId pid, unsigned tries_left) {
   if (tries_left == 0) {
     // No live peer answered (possibly none exists): activate alone, like
     // the first node of a bootstrapping group.
-    node.active = true;
-    const std::uint64_t epoch = node.timer_epoch;
-    queue_.schedule_in(rng_.uniform01() * node.period,
-                       [this, pid, epoch] { on_tick(pid, epoch); });
+    activate(pid);
     return;
   }
   Packet join;
@@ -491,6 +367,11 @@ void NetSimulator::begin_join(sim::ProcessId pid, unsigned tries_left) {
                        }
                        begin_join(pid, tries_left - 1);
                      });
+}
+
+void NetSimulator::activate(sim::ProcessId pid) {
+  nodes_[pid].active = true;
+  start_timer(pid);
 }
 
 NetStats NetSimulator::net_stats() const {

@@ -22,12 +22,13 @@
 //
 // All N nodes live in one OS process (loopback deployment); group state
 // is shared, so directory token routing and population metrics read the
-// same oracle the event backend uses. The action layouts and probe rule
-// (core::layout_of, core::probe_rule) are every tier's, and the fault
-// surface (sim::fault_plan::Scheduler) is the event backend's own, so the
-// loopback equivalence suite can pin net steady states against
-// sync/event/mean-field; this file only says how a probe, push or token
-// travels: as datagrams.
+// same oracle the event backend uses. The timers, the action interpreter
+// (core::layout_of, core::probe_rule), token routing, the fault surface
+// and the metrics are sim::AsyncRuntime's, shared with the event backend,
+// so the loopback equivalence suite can pin net steady states against
+// sync/event/mean-field. This file is the carrier only: sockets, the
+// packet codec, wall-clock pacing, probe timeouts, the join/leave
+// handshake and the measured NetStats.
 
 #include <netinet/in.h>
 
@@ -35,19 +36,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/state_machine.hpp"
 #include "net/packet.hpp"
 #include "net/socket.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/fault_plan.hpp"
-#include "sim/group.hpp"
-#include "sim/metrics.hpp"
+#include "sim/async_runtime.hpp"
 #include "sim/runtime.hpp"
-#include "sim/simulator.hpp"
 
 namespace deproto::net {
 
@@ -99,7 +95,7 @@ struct NetStats {
   }
 };
 
-class NetSimulator final : public sim::Simulator {
+class NetSimulator final : public sim::AsyncRuntime {
  public:
   /// Socket-per-node puts a hard ceiling on N (fd budget and poll cost);
   /// gigascale runs belong on the count backend.
@@ -111,41 +107,6 @@ class NetSimulator final : public sim::Simulator {
   NetSimulator(std::size_t n, core::ProtocolStateMachine machine,
                std::uint64_t seed, NetSimOptions options = {});
 
-  [[nodiscard]] sim::Group& group() noexcept override { return group_; }
-  [[nodiscard]] sim::MetricsCollector& metrics() noexcept override {
-    return metrics_;
-  }
-  [[nodiscard]] sim::Rng& rng() noexcept override { return rng_; }
-  [[nodiscard]] double now() const noexcept override { return queue_.now(); }
-  [[nodiscard]] std::size_t num_states() const noexcept override {
-    return group_.num_states();
-  }
-  [[nodiscard]] std::size_t count(std::size_t state) const override {
-    return group_.count(state);
-  }
-  [[nodiscard]] std::size_t total_alive() const noexcept override {
-    return group_.total_alive();
-  }
-
-  void seed_states(const std::vector<std::size_t>& counts) override {
-    group_.seed_states(counts);
-  }
-  void schedule_massive_failure(double time, double fraction) override {
-    faults_.schedule_massive_failure(time, fraction);
-  }
-  void schedule_crash(sim::ProcessId pid, double time,
-                      double recover_time = -1.0) override {
-    faults_.schedule_crash(pid, time, recover_time);
-  }
-  void set_crash_recovery(double crash_prob,
-                          double mean_downtime_periods) override {
-    faults_.set_crash_recovery(crash_prob, mean_downtime_periods);
-  }
-  void attach_churn(const sim::ChurnTrace& trace,
-                    double periods_per_hour) override {
-    faults_.attach_churn(trace, periods_per_hour);
-  }
-
   /// Advance sim time by `periods`, paced against the wall clock;
   /// metrics sample each whole period (including t = 0, like the event
   /// backend).
@@ -153,9 +114,6 @@ class NetSimulator final : public sim::Simulator {
 
   /// Measured network behavior so far (per-node trackers aggregated).
   [[nodiscard]] NetStats net_stats() const;
-  [[nodiscard]] const sim::TokenStats& token_stats() const noexcept {
-    return tokens_;
-  }
 
   /// The UDP port node `pid` is currently bound to (0 while crashed).
   [[nodiscard]] std::uint16_t port_of(sim::ProcessId pid) const;
@@ -174,21 +132,14 @@ class NetSimulator final : public sim::Simulator {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct ProbeContext {
-    core::ProbeReplies replies;
-    std::size_t remaining = 0;
-    std::function<void(const core::ProbeReplies&)> done;
-  };
   struct PendingProbe {
-    std::shared_ptr<ProbeContext> ctx;
+    std::uint32_t wait = 0;  // the runtime's probe-wait record
     Clock::time_point sent_at;
   };
   struct Node {
     UdpSocket socket;
     std::uint16_t home_port = 0;  // preferred rebind port after recovery
     std::uint64_t next_seq = 1;
-    double period = 1.0;  // in sim periods (drift factor applied)
-    std::uint64_t timer_epoch = 0;
     std::uint64_t incarnation = 0;  // bumped per rejoin; stale acks no-op
     bool active = true;             // period timer armed (false mid-join)
     SequenceTracker tracker;
@@ -202,8 +153,7 @@ class NetSimulator final : public sim::Simulator {
   [[nodiscard]] double sim_of(Clock::time_point wall) const;
   [[nodiscard]] Clock::time_point wall_of(double sim_time) const;
 
-  void run_until(double t_end);
-  void advance_to(double t_end);
+  void advance_to(double t_end) override;
   void poll_and_drain(Clock::time_point deadline);
   void drain_node(sim::ProcessId pid);
   void handle_packet(sim::ProcessId pid, const Packet& packet,
@@ -216,38 +166,31 @@ class NetSimulator final : public sim::Simulator {
   bool send_packet(sim::ProcessId from, const sockaddr_in& dest,
                    Packet packet);
 
-  void arm_timer(sim::ProcessId pid);
-  void on_tick(sim::ProcessId pid, std::uint64_t epoch);
-  void run_action(sim::ProcessId pid, const core::Action& action);
-  void probe_all(sim::ProcessId pid, std::size_t count,
-                 std::function<void(const core::ProbeReplies&)> done);
-  void resolve_probe(const std::shared_ptr<ProbeContext>& ctx,
-                     std::optional<std::size_t> state);
-  void route_token(sim::ProcessId pid, std::size_t token_state,
-                   std::size_t to_state);
+  // The carrier: probes, pushes and tokens as datagrams.
+  void send_push(sim::ProcessId from, sim::ProcessId to,
+                 const core::ActionLayout& layout) override;
+  void send_probe(sim::ProcessId from, sim::ProcessId to,
+                  std::uint32_t wait) override;
+  bool send_token(sim::ProcessId from, sim::ProcessId to,
+                  std::size_t token_state, std::size_t to_state,
+                  unsigned hops_left) override;
 
-  // fault_plan::Scheduler hooks: what a crash, a revival, and a churn
-  // departure mean for a node's socket and timer.
-  void on_crashed(sim::ProcessId pid);
-  void on_recovered(sim::ProcessId pid);
-  void send_leaves(sim::ProcessId pid);
+  // What a crash, a revival, and a churn departure mean for a node's
+  // socket: it closes; it rebinds and handshakes before its timer starts
+  // again; it gossips a Leave first.
+  void on_crashed(sim::ProcessId pid) override;
+  void on_recovered(sim::ProcessId pid) override;
+  void on_departing(sim::ProcessId pid) override;
   void begin_join(sim::ProcessId pid, unsigned tries_left);
+  void activate(sim::ProcessId pid);
   void record_rtt(Clock::time_point sent_at);
 
-  core::ProtocolStateMachine machine_;
   NetSimOptions options_;
-  sim::EventQueue queue_;  // sim-time events, paced by the wall clock
-  sim::Rng rng_;
-  sim::Group group_;
-  sim::MetricsCollector metrics_;
   std::vector<Node> nodes_;
   std::vector<sockaddr_in> addr_;  // current endpoint per node
   std::vector<WatchedFd> watched_;
-  sim::TokenStats tokens_;
   NetStats stats_;  // tracker-independent counters (see net_stats())
-  sim::fault_plan::Scheduler faults_;
   std::uint64_t next_probe_id_ = 1;
-  double next_sample_ = 0.0;
   Clock::time_point anchor_wall_;  // wall <-> sim mapping, reset per run
   double anchor_sim_ = 0.0;
 };

@@ -8,15 +8,22 @@
 
 namespace deproto::num {
 
-std::optional<Vec> newton_solve(const ode::EquationSystem& sys, Vec x0,
-                                const NewtonOptions& opts) {
+namespace {
+constexpr int kMaxNewtonIter = 200;
+constexpr double kResidualTol = 1e-12;  // convergence on ||f||_inf
+constexpr double kMinDamping = 1e-6;    // smallest line-search step fraction
+constexpr int kGridPoints = 5;          // starts per dimension over [0, 1]
+constexpr double kDedupeRadius = 1e-6;  // closer roots (2-norm) are one
+}  // namespace
+
+std::optional<Vec> newton_solve(const ode::EquationSystem& sys, Vec x0) {
   const std::size_t m = sys.num_vars();
   if (x0.size() != m) return std::nullopt;
 
   Vec fx(m);
-  for (int it = 0; it < opts.max_iter; ++it) {
+  for (int it = 0; it < kMaxNewtonIter; ++it) {
     sys.evaluate(x0, fx);
-    if (norm_inf(fx) < opts.tol) return x0;
+    if (norm_inf(fx) < kResidualTol) return x0;
 
     Matrix j = jacobian_at(sys, x0);
     Vec step;
@@ -37,12 +44,12 @@ std::optional<Vec> newton_solve(const ode::EquationSystem& sys, Vec x0,
     double damping = 1.0;
     Vec candidate(m), fc(m);
     bool improved = false;
-    while (damping >= opts.min_damping) {
+    while (damping >= kMinDamping) {
       for (std::size_t d = 0; d < m; ++d) {
         candidate[d] = x0[d] - damping * step[d];
       }
       sys.evaluate(candidate, fc);
-      if (norm_inf(fc) < f0 || norm_inf(fc) < opts.tol) {
+      if (norm_inf(fc) < f0 || norm_inf(fc) < kResidualTol) {
         improved = true;
         break;
       }
@@ -52,27 +59,25 @@ std::optional<Vec> newton_solve(const ode::EquationSystem& sys, Vec x0,
     x0 = candidate;
   }
   sys.evaluate(x0, fx);
-  if (norm_inf(fx) < opts.tol) return x0;
+  if (norm_inf(fx) < kResidualTol) return x0;
   return std::nullopt;
 }
 
-std::vector<Vec> find_equilibria(const ode::EquationSystem& sys,
-                                 const EquilibriumSearchOptions& opts) {
+std::vector<Vec> find_equilibria(const ode::EquationSystem& sys) {
   const std::size_t m = sys.num_vars();
   std::vector<Vec> found;
 
   auto consider = [&](Vec start) {
-    auto root = newton_solve(sys, std::move(start), opts.newton);
+    auto root = newton_solve(sys, std::move(start));
     if (!root) return;
     for (const Vec& r : found) {
-      if (distance(r, *root) < opts.dedupe_radius) return;
+      if (distance(r, *root) < kDedupeRadius) return;
     }
     found.push_back(std::move(*root));
   };
 
-  // Regular grid over [lo, hi]^m.
-  const int g = std::max(opts.grid, 2);
-  std::vector<int> idx(m, 0);
+  // Regular grid over [0, 1]^m.
+  const int g = kGridPoints;
   const auto total = static_cast<std::size_t>(std::pow(g, m));
   // Guard against combinatorial blow-up for larger systems.
   if (total <= 1'000'000) {
@@ -82,8 +87,7 @@ std::vector<Vec> find_equilibria(const ode::EquationSystem& sys,
       for (std::size_t d = 0; d < m; ++d) {
         const int k = static_cast<int>(rem % g);
         rem /= g;
-        start[d] =
-            opts.lo + (opts.hi - opts.lo) * static_cast<double>(k) / (g - 1);
+        start[d] = static_cast<double>(k) / (g - 1);
       }
       consider(std::move(start));
     }

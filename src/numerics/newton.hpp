@@ -13,32 +13,17 @@
 
 namespace deproto::num {
 
-struct NewtonOptions {
-  int max_iter = 200;
-  double tol = 1e-12;       // convergence on ||f||_inf
-  double min_damping = 1e-6;  // smallest step fraction in the line search
-};
-
-/// Solve f(x) = 0 from initial guess x0. Returns nullopt when Newton fails
-/// (singular Jacobian with no useful perturbation, or no convergence).
+/// Solve f(x) = 0 from initial guess x0: at most 200 damped Newton steps
+/// to ||f||_inf < 1e-12, each step halved down to a 1e-6 fraction until
+/// the residual falls. Returns nullopt when Newton fails (singular
+/// Jacobian with no useful perturbation, or no convergence).
 [[nodiscard]] std::optional<Vec> newton_solve(const ode::EquationSystem& sys,
-                                              Vec x0,
-                                              const NewtonOptions& opts = {});
+                                              Vec x0);
 
-struct EquilibriumSearchOptions {
-  /// Grid resolution per dimension over [lo, hi]^m (plus simplex corners).
-  int grid = 5;
-  double lo = 0.0;
-  double hi = 1.0;
-  /// Two roots closer than this (2-norm) are considered the same.
-  double dedupe_radius = 1e-6;
-  NewtonOptions newton;
-};
-
-/// All distinct equilibria found by multi-start Newton. Points are returned
-/// in deterministic (lexicographically sorted) order.
-[[nodiscard]] std::vector<Vec> find_equilibria(
-    const ode::EquationSystem& sys,
-    const EquilibriumSearchOptions& opts = {});
+/// All distinct equilibria found by multi-start Newton from a 5-point grid
+/// per dimension over [0, 1]^m plus the simplex corners and centroid; two
+/// roots closer than 1e-6 (2-norm) are one. Points are returned in
+/// deterministic (lexicographically sorted) order.
+[[nodiscard]] std::vector<Vec> find_equilibria(const ode::EquationSystem& sys);
 
 }  // namespace deproto::num

@@ -15,16 +15,17 @@ Network::Network(EventQueue& queue, Rng& rng, NetworkOptions options)
   }
 }
 
-void Network::send(Task on_deliver, Task on_lost) {
+bool Network::send(Task on_deliver, Task on_lost) {
   ++sent_;
   const double latency =
       rng_.uniform(options_.latency_min, options_.latency_max);
   if (options_.loss > 0.0 && rng_.bernoulli(options_.loss)) {
     ++dropped_;
     if (on_lost) queue_.schedule_in(latency, std::move(on_lost));
-    return;
+    return false;
   }
   queue_.schedule_in(latency, std::move(on_deliver));
+  return true;
 }
 
 }  // namespace deproto::sim

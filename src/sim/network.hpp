@@ -24,7 +24,8 @@ class Network {
   /// Send a message: `on_deliver` runs after a random latency unless the
   /// message is dropped, in which case `on_lost` (if provided) runs at the
   /// same moment the delivery would have happened (a timeout surrogate).
-  void send(Task on_deliver, Task on_lost = {});
+  /// Returns false for a dropped message.
+  bool send(Task on_deliver, Task on_lost = {});
 
   [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }

@@ -1,8 +1,9 @@
 #pragma once
 
 // The unified simulator interface: one fault/scheduling/seeding API over
-// all execution backends (round-synchronous SyncSimulator, fully
-// asynchronous EventSimulator, and the count-based CountSimulator). This
+// all execution backends (round-synchronous SyncSimulator, the count-based
+// CountSimulator, and the two asynchronous backends, EventSimulator and
+// net::NetSimulator, which share one runtime, sim::AsyncRuntime). This
 // is the scheduler-independence claim of the paper made concrete: an
 // experiment is programmed once against `Simulator&` -- seeding, massive
 // failures, background crash-recovery, churn-trace playback, targeted
@@ -19,7 +20,8 @@
 // quantize to period boundaries through one shared plan,
 // fault_plan::Rounds (a fault at time t fires at the start of the first
 // period >= t, and run_for rounds up to whole rounds); the event and net
-// backends honor fractional times exactly through fault_plan::Scheduler.
+// backends honor fractional times exactly through AsyncRuntime's
+// fault_plan::Scheduler.
 // now() reports the current simulation time in the same unit, so
 // `run_for(k)` always advances now() by (at least) k.
 

@@ -99,6 +99,32 @@ TEST(SweepSpecTest, EmptyAxisAndZeroReplicatesAreErrors) {
   EXPECT_THROW((void)sweep.job_count(), SpecError);
 }
 
+TEST(SweepSpecTest, OverflowingJobCountIsRejectedNamingReplicates) {
+  // 4 points * 2^62 replicates wraps to 0 in 64 bits.
+  SweepSpec sweep = sweep_registry_get("smoke-epidemic-scaling");
+  ASSERT_EQ(sweep.point_count(), 4U);
+  sweep.replicates = std::size_t{1} << 62;
+  try {
+    (void)sweep.job_count();
+    FAIL() << "expected a SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("replicates"), std::string::npos)
+        << e.what();
+  }
+  sweep.replicates = std::numeric_limits<std::size_t>::max() / 4;
+  EXPECT_EQ(sweep.job_count(), sweep.replicates * 4);
+
+  // 64 two-value grid axes: 2^64 points would wrap to 0 as well.
+  SweepSpec wide;
+  wide.base = small_base();
+  for (int a = 0; a < 64; ++a) {
+    wide.axes.push_back(
+        SweepAxis{"axis" + std::to_string(a), {num(0), num(1)}});
+  }
+  EXPECT_THROW((void)wide.point_count(), SpecError);
+  EXPECT_THROW((void)wide.job_count(), SpecError);
+}
+
 TEST(SweepSpecTest, NoAxesMeansOnePointOfReplicates) {
   SweepSpec sweep;
   sweep.base = small_base();

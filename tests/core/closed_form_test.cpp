@@ -58,6 +58,14 @@ TEST(EndemicAnalysisTest, RequiresBetaAboveGamma) {
       std::invalid_argument);
 }
 
+TEST(EndemicAnalysisTest, SigmaRequiresPositiveAlpha) {
+  EXPECT_NEAR(endemic_sigma(kFig7), 3.9 / 101.0, 1e-15);
+  // alpha = 0 has no second equilibrium to linearize around.
+  EXPECT_THROW(
+      (void)endemic_sigma({.beta = 4.0, .gamma = 0.1, .alpha = 0.0}),
+      std::invalid_argument);
+}
+
 TEST(EndemicAnalysisTest, StabilityAlwaysHolds) {
   for (const EndemicRates& rates : {kFig5, kFig7, kFig9}) {
     const num::StabilityReport r = endemic_stability(rates);

@@ -79,6 +79,32 @@ TEST(EventSimTest, TokenWalkModeWorksOverMessages) {
   EXPECT_GT(simulator.group().count(1), 95U);
 }
 
+TEST(EventSimTest, CountsTokensOnBothRoutings) {
+  // The shared async runtime keeps TokenStats for the event carrier too:
+  // every token is generated once, then delivered, dropped or in flight.
+  const auto result = core::synthesize(ode::catalog::invitation(1.0));
+  EventSimOptions options;
+  options.network.loss = 0.1;
+  EventSimulator directory(100, result.machine, 6, options);
+  directory.seed_states({50, 50});
+  directory.run_until(30.0);
+  const TokenStats& t = directory.token_stats();
+  EXPECT_GT(t.delivered, 0U);
+  EXPECT_GT(t.dropped, 0U);  // lost on the 10%-lossy network
+  EXPECT_LE(t.delivered + t.dropped, t.generated);
+
+  // A walk with no hops drops every token it makes.
+  options.tokens.mode = TokenRouting::Mode::RandomWalkTtl;
+  options.tokens.ttl = 0;
+  EventSimulator expired(100, result.machine, 6, options);
+  expired.seed_states({50, 50});
+  expired.run_until(30.0);
+  EXPECT_GT(expired.token_stats().generated, 0U);
+  EXPECT_EQ(expired.token_stats().dropped, expired.token_stats().generated);
+  EXPECT_EQ(expired.token_stats().delivered, 0U);
+  EXPECT_EQ(expired.group().count(1), 50U);
+}
+
 TEST(EventSimTest, ValidatesDrift) {
   const auto result = core::synthesize(ode::catalog::epidemic());
   EventSimOptions options;

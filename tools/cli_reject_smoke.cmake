@@ -1,8 +1,8 @@
 # Flag-rejection smoke: a malformed value, or a flag given in a mode that
 # would ignore it, must fail closed -- exit 2 with an `error:` line naming
-# the flag -- before any work starts. Every call has a timeout, so a value
-# that wraps into a huge size (and used to hang) fails the test instead of
-# stalling it. A failed artifact write must exit 1 with an error line.
+# the flag -- before any work starts; --help and -h exit 0 instead.
+# Every call has a timeout, so a value that wraps into a huge size (and
+# used to hang) fails the test instead of stalling it. A failed artifact write must exit 1 with an error line.
 #
 #   cmake -DDEPROTO_RUN=<path/to/deproto-run>
 #         -DDEPROTO_LINT=<path/to/deproto-lint> -P tools/cli_reject_smoke.cmake
@@ -43,6 +43,23 @@ expect_reject("${DEPROTO_RUN}" --dispatch
 expect_reject("${DEPROTO_RUN}" --worker --worker)
 expect_reject("${DEPROTO_RUN}" --ode
               --ode system.ode --sweep smoke-epidemic-scaling)
+
+# --help and -h print the usage line on stdout and exit 0.
+foreach(tool IN ITEMS "${DEPROTO_RUN}" "${DEPROTO_LINT}")
+  foreach(flag IN ITEMS --help -h)
+    execute_process(
+      COMMAND "${tool}" ${flag}
+      RESULT_VARIABLE rc
+      OUTPUT_VARIABLE out
+      ERROR_VARIABLE err
+      TIMEOUT 30)
+    if(NOT rc STREQUAL "0" OR NOT out MATCHES "^usage: ")
+      message(FATAL_ERROR
+        "${tool} ${flag}: expected exit 0 and the usage line on stdout, "
+        "got exit '${rc}':\n${out}${err}")
+    endif()
+  endforeach()
+endforeach()
 
 if(EXISTS /dev/full)
   execute_process(

@@ -139,6 +139,15 @@ class FlagTable {
   std::vector<const Flag*> given_;
 };
 
+/// Whether any argument asks for the usage line: `--help` or `-h`.
+inline bool wants_help(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") return true;
+  }
+  return false;
+}
+
 /// The whole of `path` ("-" = stdin). Throws std::runtime_error when it
 /// cannot be read.
 inline std::string read_file(const std::string& path) {

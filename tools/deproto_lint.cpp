@@ -20,6 +20,7 @@
 //   --strict       exit nonzero on warnings too, not just errors
 //   --no-suppress  ignore the specs' lint_suppress lists
 //   --quiet        per-scenario summary lines only, no findings
+//   --help, -h     print the usage line on stdout and exit 0
 //
 // Exit codes: 0 = no blocking findings, 1 = error findings (or warnings
 // under --strict), 2 = usage / unreadable input.
@@ -55,13 +56,15 @@ struct CliOptions {
   std::optional<std::size_t> exact_max_states;
 };
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
+/// The usage line: on stdout with status 0 when asked for (--help),
+/// otherwise on stderr with status 2.
+int usage(const char* argv0, int status = 2) {
+  std::fprintf(status == 0 ? stdout : stderr,
                "usage: %s (<scenario>... | --registry | --spec f.json) "
                "[--json] [--strict] [--no-suppress] [--quiet] [--exact] "
                "[--exact-n N] [--exact-max-states M]\n",
                argv0);
-  return 2;
+  return status;
 }
 
 bool parse_args(int argc, char** argv, CliOptions* o) {
@@ -114,6 +117,7 @@ void print_report(const Report& report, bool quiet) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (deproto::cli::wants_help(argc, argv)) return usage(argv[0], 0);
   CliOptions opts;
   if (!parse_args(argc, argv, &opts)) return usage(argv[0]);
 

@@ -47,6 +47,7 @@
 //   --cache-max-bytes <b>  bound the cache directory (LRU eviction)
 //   --spec-out <file>  write the (resolved) Scenario/SweepSpec as JSON
 //   --quiet            suppress the population table / per-job lines
+//   --help, -h         print the usage line on stdout and exit 0
 //
 // Each flag belongs to the modes that read it (single run, sweep or
 // --repeat, bisect, smoke, list); a flag given in a mode that
@@ -196,8 +197,10 @@ deproto::cli::FlagTable flag_table(CliOptions* o) {
   });
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
+/// The usage line: on stdout with status 0 when asked for (--help),
+/// otherwise on stderr with status 2.
+int usage(const char* argv0, int status = 2) {
+  std::fprintf(status == 0 ? stdout : stderr,
                "usage: %s --list | --smoke | (<scenario> | --spec f.json | "
                "--ode f|- | --sweep preset|f.json) [--n N] [--periods k] "
                "[--seed s] [--backend sync|event|count|net|auto] "
@@ -207,7 +210,7 @@ int usage(const char* argv0) {
                "[--no-cache] [--cache-gc] [--cache-max-bytes b] "
                "[--spec-out out.json] [--quiet]\n",
                argv0);
-  return 2;
+  return status;
 }
 
 void list_registry() {
@@ -685,6 +688,7 @@ const char* error_kind(const std::exception& e) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (deproto::cli::wants_help(argc, argv)) return usage(argv[0], 0);
   CliOptions options;
   deproto::cli::FlagTable flags = flag_table(&options);
   if (!flags.parse(argc, argv)) return usage(argv[0]);
